@@ -1,12 +1,7 @@
 //! Engine throughput benches: simulated sessions per second for each
 //! strategy (serial, sharded-parallel, and out-of-core streaming from a
 //! columnar disk trace), plus workload generation and trace scaling.
-//!
-//! Rows run through the [`Simulation`] builder — the public front door —
-//! and the `engine` group carries a `direct_run` / `builder_overhead`
-//! pair on identical inputs: the two rows agreeing is the standing proof
-//! that the facade adds no measurable per-run cost over calling
-//! `engine::run` directly.
+//! Every row runs through the [`Simulation`] builder, the one way to run.
 //!
 //! Set `BENCH_JSON=BENCH_engine.json` to append one JSON line per
 //! measurement — CI uses this to track the serial-vs-parallel throughput
@@ -18,8 +13,8 @@ use cablevod_bench::bench_trace;
 use cablevod_cache::StrategySpec;
 use cablevod_hfc::units::DataSize;
 use cablevod_serve::clock::AcceleratedClock;
-use cablevod_serve::replay::{replay_trace, DecisionTier};
-use cablevod_sim::{run, SimConfig, Simulation};
+use cablevod_serve::replay::replay_trace;
+use cablevod_sim::{SimConfig, Simulation};
 use cablevod_trace::columnar::{ColumnarReader, DEFAULT_CHUNK_SIZE};
 use cablevod_trace::rechunk::{import_chunk_size, rechunk_by_neighborhood, rechunk_multi_index};
 use cablevod_trace::scale;
@@ -51,48 +46,6 @@ fn engine_throughput(c: &mut Criterion) {
             })
         });
     }
-    // The facade-overhead pair: identical workload and config, one row
-    // through the raw engine entry point, one through the builder
-    // (including its telemetry probes). The smoke gate requires the
-    // builder row; the two agreeing is the no-overhead proof.
-    let config = base.clone();
-    group.bench_function("direct_run", |b| {
-        b.iter(|| run(trace, &config).expect("runs"))
-    });
-    group.bench_function("builder_overhead", |b| {
-        b.iter(|| {
-            Simulation::over(trace)
-                .config(config.clone())
-                .run()
-                .expect("runs")
-        })
-    });
-    // The registry-dispatch pair: the same LFU workload selected as a
-    // config spec (`registry_builtin`) and resolved by name through the
-    // plugin-aware registry (`registry_dispatch`, the path every
-    // `cablevod-scenario` cell takes). Resolution is a once-per-run
-    // BTreeMap lookup returning the same factory object, so the two rows
-    // agreeing is the proof that out-of-tree pluggability costs nothing.
-    group.bench_function("registry_builtin", |b| {
-        b.iter(|| {
-            Simulation::over(trace)
-                .config(config.clone())
-                .strategy(StrategySpec::default_lfu())
-                .run()
-                .expect("runs")
-        })
-    });
-    let registry = cablevod_cache::StrategyRegistry::with_plugins();
-    group.bench_function("registry_dispatch", |b| {
-        b.iter(|| {
-            Simulation::over(trace)
-                .config(config.clone())
-                .registry(registry.clone())
-                .strategy_named("lfu")
-                .run()
-                .expect("runs")
-        })
-    });
     group.finish();
 }
 
@@ -368,27 +321,13 @@ fn serve_online(c: &mut Criterion) {
     group.bench_function("throughput", |b| {
         b.iter(|| {
             let mut clock = AcceleratedClock::default();
-            replay_trace(
-                trace,
-                &config,
-                strategy.as_ref(),
-                DecisionTier::Serial,
-                &mut clock,
-            )
-            .expect("serve run")
+            replay_trace(trace, &config, strategy.as_ref(), &mut clock).expect("serve run")
         })
     });
     group.finish();
 
     let mut clock = AcceleratedClock::default();
-    let outcome = replay_trace(
-        trace,
-        &config,
-        strategy.as_ref(),
-        DecisionTier::Serial,
-        &mut clock,
-    )
-    .expect("serve run");
+    let outcome = replay_trace(trace, &config, strategy.as_ref(), &mut clock).expect("serve run");
     c.record_measurement(
         "serve",
         "decision_p99",

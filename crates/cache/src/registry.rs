@@ -132,16 +132,6 @@ impl StrategyRegistry {
         self.factories.insert(name.into(), factory)
     }
 
-    /// Registers the built-in factory of `spec` under `name` — a
-    /// convenience for giving a parameterized built-in a stable alias.
-    pub fn register_spec(
-        &mut self,
-        name: impl Into<String>,
-        spec: StrategySpec,
-    ) -> Option<Arc<dyn StrategyFactory>> {
-        self.register(name, spec.factory())
-    }
-
     /// The factory registered under exactly `name`, if any.
     pub fn get(&self, name: &str) -> Option<Arc<dyn StrategyFactory>> {
         self.factories.get(name).cloned()
@@ -237,7 +227,7 @@ mod tests {
             r.register("plugin-order-probe", Arc::new(LruFactory));
         });
         crate::registry::register_plugin(|r| {
-            r.register_spec("plugin-order-probe", StrategySpec::default_lfu());
+            r.register("plugin-order-probe", StrategySpec::default_lfu().factory());
         });
         let registry = StrategyRegistry::with_plugins();
         // Later hooks shadow earlier ones...
@@ -261,7 +251,7 @@ mod tests {
         let mut registry = StrategyRegistry::empty();
         assert!(registry.register("mine", Arc::new(LruFactory)).is_none());
         assert!(registry
-            .register_spec("mine", StrategySpec::default_lfu())
+            .register("mine", StrategySpec::default_lfu().factory())
             .is_some());
         assert_eq!(registry.resolve("mine").expect("resolves").name(), "LFU");
         assert_eq!(registry.names().collect::<Vec<_>>(), vec!["mine"]);

@@ -3,7 +3,7 @@
 
 use cablevod_cache::FillPolicy;
 use cablevod_hfc::units::{BitRate, SimDuration};
-use cablevod_sim::{baseline, multicast, run, SimConfig, SimError};
+use cablevod_sim::{baseline, multicast, SimConfig, SimError, Simulation};
 use cablevod_trace::analyze;
 use cablevod_trace::record::Trace;
 
@@ -69,7 +69,7 @@ pub fn multicast_comparison(trace: &Trace) -> Result<Figure, SimError> {
     let cache_config = SimConfig::paper_default()
         .with_warmup_days(warmup)
         .with_fill_override(FillPolicy::Prefetch);
-    let cache = run(trace, &cache_config)?;
+    let cache = Simulation::over(trace).config(cache_config).run()?.report;
     fig.push(FigureRow::with_bars(
         "server load",
         "cooperative cache (LFU, 10 TB)",
@@ -123,8 +123,11 @@ pub fn headend_comparison(trace: &Trace) -> Result<Figure, SimError> {
     let peer_config = SimConfig::paper_default()
         .with_warmup_days(default_warmup(trace))
         .with_fill_override(FillPolicy::Prefetch);
-    let peer = run(trace, &peer_config)?;
-    let headend = run(trace, &baseline::headend_config(&peer_config))?;
+    let headend = Simulation::over(trace)
+        .config(baseline::headend_config(&peer_config))
+        .run()?
+        .report;
+    let peer = Simulation::over(trace).config(peer_config).run()?.report;
 
     fig.push(FigureRow::with_bars(
         "server load",

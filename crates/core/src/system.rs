@@ -1,7 +1,7 @@
 //! The high-level public API: assemble a cable VoD system and simulate it.
 
 use cablevod_hfc::units::BitRate;
-use cablevod_sim::{baseline, run, SimConfig, SimError, SimReport};
+use cablevod_sim::{baseline, SimConfig, SimError, SimReport, Simulation};
 use cablevod_trace::record::Trace;
 
 /// A configured cable VoD deployment: the paper's architecture ready to be
@@ -58,15 +58,6 @@ impl VodSystem {
         &self.config
     }
 
-    /// Runs the simulation and returns the raw report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and engine failures.
-    pub fn simulate(&self, trace: &Trace) -> Result<SimReport, SimError> {
-        run(trace, &self.config)
-    }
-
     /// Runs the simulation and pairs it with the no-cache baseline — the
     /// "how much server capacity does the cache save" question.
     ///
@@ -74,7 +65,10 @@ impl VodSystem {
     ///
     /// Propagates configuration and engine failures.
     pub fn evaluate(&self, trace: &Trace) -> Result<Evaluation, SimError> {
-        let report = self.simulate(trace)?;
+        let report = Simulation::over(trace)
+            .config(self.config.clone())
+            .run()?
+            .report;
         let baseline = baseline::no_cache_peak(
             trace,
             self.config.stream_rate(),

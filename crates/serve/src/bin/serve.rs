@@ -22,9 +22,9 @@ use std::sync::atomic::AtomicBool;
 
 use cablevod_cache::StrategyRegistry;
 use cablevod_serve::clock::{AcceleratedClock, ClockSource, WallClock};
-use cablevod_serve::replay::{replay_trace, DecisionTier};
+use cablevod_serve::replay::replay_trace;
 use cablevod_serve::server::{ServeStats, Server, ServerConfig};
-use cablevod_sim::engine::online::{serve_serial, serve_sharded, OnlineSpec};
+use cablevod_sim::engine::online::{serve_serial, OnlineSpec};
 use cablevod_sim::{report_to_json_string, SimConfig};
 use cablevod_trace::record::Trace;
 use cablevod_trace::synth::{generate, SynthConfig};
@@ -73,7 +73,6 @@ struct Args {
     tcp: Option<String>,
     replay: Option<String>,
     strategy: String,
-    sharded: bool,
     accel: bool,
     queue_cap: usize,
     capacity: u64,
@@ -92,7 +91,6 @@ impl Args {
             tcp: None,
             replay: None,
             strategy: "lru".into(),
-            sharded: false,
             accel: false,
             queue_cap: 1024,
             capacity: 1 << 20,
@@ -110,7 +108,6 @@ impl Args {
                 "--tcp" => args.tcp = Some(value("--tcp")?),
                 "--replay" => args.replay = Some(value("--replay")?),
                 "--strategy" => args.strategy = value("--strategy")?,
-                "--sharded" => args.sharded = true,
                 "--accel" => args.accel = true,
                 "--queue-cap" => args.queue_cap = parse(&value("--queue-cap")?)?,
                 "--capacity" => args.capacity = parse(&value("--capacity")?)?,
@@ -134,7 +131,7 @@ impl Args {
 }
 
 const USAGE: &str = "usage: cablevod-serve (--socket PATH | --tcp ADDR | --replay FILE.cvtc)
-    [--strategy NAME] [--sharded] [--accel] [--queue-cap N] [--capacity N]
+    [--strategy NAME] [--accel] [--queue-cap N] [--capacity N]
     [--max-sessions N] [--users N] [--programs N] [--days N] [--seed N]";
 
 fn parse<T: std::str::FromStr>(text: &str) -> Result<T, String> {
@@ -161,11 +158,6 @@ fn run() -> Result<(), String> {
         .resolve(&args.strategy)
         .map_err(|e| format!("unknown strategy {:?}: {e}", args.strategy))?;
     let config = SimConfig::default();
-    let tier = if args.sharded {
-        DecisionTier::Sharded
-    } else {
-        DecisionTier::Serial
-    };
 
     if let Some(path) = &args.replay {
         let reader = ColumnarReader::open(path).map_err(|e| e.to_string())?;
@@ -175,7 +167,7 @@ fn run() -> Result<(), String> {
         } else {
             Box::new(WallClock::default())
         };
-        let outcome = replay_trace(&trace, &config, strategy.as_ref(), tier, clock.as_mut())
+        let outcome = replay_trace(&trace, &config, strategy.as_ref(), clock.as_mut())
             .map_err(|e| e.to_string())?;
         println!(
             "{{\"serve\":{{\"admitted\":{},\"shed\":0,\"epoch\":{},\
@@ -227,12 +219,8 @@ fn run() -> Result<(), String> {
     let serve = |engine: &mut dyn cablevod_sim::OnlineEngine| {
         server.run(engine, clock.as_mut(), &TERM, &server_config)
     };
-    let result: Result<(ServeStats, _), _> = if args.sharded {
-        serve_sharded(&spec, &config, strategy.as_ref(), serve)
-    } else {
-        serve_serial(&spec, &config, strategy.as_ref(), serve)
-    };
-    let (stats, report) = result.map_err(|e| e.to_string())?;
+    let (stats, report): (ServeStats, _) =
+        serve_serial(&spec, &config, strategy.as_ref(), serve).map_err(|e| e.to_string())?;
     if let Some(path) = &args.socket {
         let _ = std::fs::remove_file(path);
     }

@@ -14,10 +14,10 @@
 //!   replaying a `.cvtc` trace against the clock ([`replay`]) or as
 //!   newline-framed requests over a TCP/Unix socket ([`server`]).
 //! * **Decision tier** (`cablevod_sim::engine::online`) — the one
-//!   `SessionDriver` lifecycle stepped cooperatively against the live
-//!   clock. All nine registry strategies, fault plans, and enforcing
-//!   admission/retry run unchanged; the serial and sharded engines both
-//!   produce reports byte-identical to the offline replay.
+//!   `SessionDriver` lifecycle, over the whole plant, stepped
+//!   cooperatively against the live clock. All nine registry strategies,
+//!   fault plans, and enforcing admission/retry run unchanged, and the
+//!   final report is byte-identical to the offline replay.
 //! * **Front tier** ([`cache`], [`hist`]) — a repeat-lookup
 //!   [`ResponseCache`] with epoch-based invalidation and per-request
 //!   [`LatencyHistogram`]s (p50/p99/p999), plus a drain-on-SIGTERM path
@@ -28,7 +28,9 @@
 //!
 //! The socket protocol is line-oriented UTF-8: one request per line
 //! (terminated by `\n`), one reply line per request, in order, per
-//! connection. Fields are space-separated decimal integers.
+//! connection. Fields are space-separated decimal integers. A connection
+//! whose pending line grows past [`server::MAX_LINE`] bytes without a
+//! `\n` gets `ERR line too long` and is closed.
 //!
 //! ## Requests
 //!
@@ -84,5 +86,5 @@ pub mod server;
 pub use cache::ResponseCache;
 pub use clock::{AcceleratedClock, ClockSource, WallClock};
 pub use hist::LatencyHistogram;
-pub use replay::{replay_trace, DecisionTier, ReplayOutcome};
+pub use replay::{replay_trace, ReplayOutcome};
 pub use server::{IngressQueue, ServeStats, Server, ServerConfig};

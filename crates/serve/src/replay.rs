@@ -11,21 +11,12 @@
 use std::time::Instant;
 
 use cablevod_cache::StrategyFactory;
-use cablevod_sim::engine::online::{serve_serial, serve_sharded, OnlineEngine, OnlineSpec};
+use cablevod_sim::engine::online::{serve_serial, OnlineEngine, OnlineSpec};
 use cablevod_sim::{SimConfig, SimError, SimReport};
 use cablevod_trace::record::Trace;
 
 use crate::clock::ClockSource;
 use crate::hist::LatencyHistogram;
-
-/// Which online engine the replay steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecisionTier {
-    /// One driver over the whole plant.
-    Serial,
-    /// Per-neighborhood shard drivers, stepped round-robin and merged.
-    Sharded,
-}
 
 /// What a clocked replay produced.
 #[derive(Debug)]
@@ -42,12 +33,13 @@ pub struct ReplayOutcome {
     pub epoch: u64,
 }
 
-/// Replays `trace` through the online decision tier, pacing submissions
-/// with `clock`.
+/// Replays `trace` through the online decision tier ([`serve_serial`]:
+/// one driver over the whole plant), pacing submissions with `clock`.
 ///
 /// Each distinct arrival instant waits on the clock, submits every
 /// session due at or before "now", then advances the engine to "now" —
-/// so the engine observes exactly the offline event order.
+/// so the engine observes exactly the offline event order, and the final
+/// report is byte-identical to the offline replay's.
 ///
 /// # Errors
 ///
@@ -58,15 +50,11 @@ pub fn replay_trace(
     trace: &Trace,
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
-    tier: DecisionTier,
     clock: &mut dyn ClockSource,
 ) -> Result<ReplayOutcome, SimError> {
     let spec = OnlineSpec::from_source(trace);
     let session = |engine: &mut dyn OnlineEngine| drive(trace, engine, clock);
-    let ((latency, submitted, epoch), report) = match tier {
-        DecisionTier::Serial => serve_serial(&spec, config, strategy, session)?,
-        DecisionTier::Sharded => serve_sharded(&spec, config, strategy, session)?,
-    };
+    let ((latency, submitted, epoch), report) = serve_serial(&spec, config, strategy, session)?;
     Ok(ReplayOutcome {
         report,
         latency,

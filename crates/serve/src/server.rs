@@ -30,6 +30,12 @@ use crate::cache::ResponseCache;
 use crate::clock::ClockSource;
 use crate::hist::LatencyHistogram;
 
+/// The longest request line a connection may leave pending, in bytes
+/// (the longest well-formed request is under 100). A client that sends
+/// more without a `\n` gets `ERR line too long` and is disconnected, so a
+/// hostile client cannot grow server memory without bound.
+pub const MAX_LINE: usize = 4096;
+
 /// Admission verdict from the ingress queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admit {
@@ -307,10 +313,12 @@ impl Server {
             // Read and answer what can be answered synchronously.
             for conn in &mut self.conns {
                 worked |= read_conn(conn);
-                while let Some(line) = take_line(&mut conn.inbuf) {
+                let lines = take_lines(&mut conn.inbuf);
+                for line in lines.iter().flat_map(|l| l.split(|&b| b == b'\n')) {
                     worked = true;
+                    let line = String::from_utf8_lossy(line);
                     let reply = handle_line(
-                        &line,
+                        line.trim_end_matches('\r'),
                         draining,
                         engine,
                         clock,
@@ -323,6 +331,13 @@ impl Server {
                         last_horizon,
                     );
                     conn.pending.push_back(reply);
+                }
+                if conn.inbuf.len() > MAX_LINE {
+                    conn.pending
+                        .push_back(Reply::Ready("ERR line too long".into()));
+                    conn.inbuf = Vec::new();
+                    conn.closed = true;
+                    worked = true;
                 }
             }
 
@@ -480,6 +495,13 @@ fn read_conn(conn: &mut Conn) -> bool {
             Ok(n) => {
                 conn.inbuf.extend_from_slice(&tmp[..n]);
                 any = true;
+                // Stop once the unterminated tail outgrows a line: the
+                // serve loop answers `ERR` and closes instead of
+                // buffering more.
+                let tail = conn.inbuf.iter().rev().take_while(|&&b| b != b'\n');
+                if tail.count() > MAX_LINE {
+                    break;
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -492,11 +514,17 @@ fn read_conn(conn: &mut Conn) -> bool {
     any
 }
 
-fn take_line(buf: &mut Vec<u8>) -> Option<String> {
-    let pos = buf.iter().position(|&b| b == b'\n')?;
-    let line: Vec<u8> = buf.drain(..=pos).collect();
-    let text = String::from_utf8_lossy(&line);
-    Some(text.trim_end_matches(['\n', '\r']).to_string())
+/// Splits every complete line off the front of `buf` at once and returns
+/// them without their final `\n` (`None` when no line is complete); the
+/// unterminated tail stays in `buf`. One split per read keeps pipelined
+/// bursts linear — draining line by line would shift the tail once per
+/// line.
+fn take_lines(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
+    let last = buf.iter().rposition(|&b| b == b'\n')?;
+    let tail = buf.split_off(last + 1);
+    let mut lines = std::mem::replace(buf, tail);
+    lines.pop();
+    Some(lines)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -596,4 +624,20 @@ fn parse_u32(token: Option<&str>) -> Option<u32> {
 
 fn parse_u64(token: Option<&str>) -> Option<u64> {
     token.and_then(|t| t.parse().ok())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::take_lines;
+
+    #[test]
+    fn take_lines_splits_complete_lines_and_keeps_the_tail() {
+        let mut buf = b"STATS\r\n\nLOOKUP 0 1\nSESS".to_vec();
+        let lines = take_lines(&mut buf).expect("complete lines");
+        let split: Vec<&[u8]> = lines.split(|&b| b == b'\n').collect();
+        assert_eq!(split, [&b"STATS\r"[..], b"", b"LOOKUP 0 1"]);
+        assert_eq!(buf, b"SESS");
+        assert!(take_lines(&mut buf).is_none());
+        assert_eq!(buf, b"SESS");
+    }
 }

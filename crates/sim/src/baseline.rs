@@ -42,9 +42,9 @@ fn demand_meter(trace: &Trace, rate: BitRate) -> RateMeter {
 /// equivalent: identical total capacity, no per-peer stream-slot limits
 /// (a headend server is not slot-bound), same strategy.
 ///
-/// The difference between `run(trace, config)` and
-/// `run(trace, headend_config(config))` isolates exactly the cost of the
-/// paper's 2-streams-per-STB constraint; coax load is identical by the
+/// The difference between simulating `config` and
+/// `headend_config(config)` over the same trace isolates exactly the cost
+/// of the paper's 2-streams-per-STB constraint; coax load is identical by the
 /// broadcast argument of §VI-B.
 pub fn headend_config(config: &SimConfig) -> SimConfig {
     config.clone().with_stream_slots(u8::MAX)
@@ -53,9 +53,18 @@ pub fn headend_config(config: &SimConfig) -> SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run;
+    use crate::report::SimReport;
+    use crate::Simulation;
     use cablevod_hfc::units::DataSize;
     use cablevod_trace::synth::{generate, SynthConfig};
+
+    fn simulate(trace: &Trace, config: &SimConfig) -> SimReport {
+        Simulation::over(trace)
+            .config(config.clone())
+            .run()
+            .expect("runs")
+            .report
+    }
 
     fn small_trace() -> Trace {
         generate(&SynthConfig {
@@ -74,7 +83,7 @@ mod tests {
             .with_neighborhood_size(200)
             .with_strategy(cablevod_cache::StrategySpec::NoCache)
             .with_warmup_days(2);
-        let simulated = run(&trace, &config).expect("runs");
+        let simulated = simulate(&trace, &config);
         assert_eq!(analytic.mean, simulated.server_peak.mean);
         assert_eq!(analytic.q95, simulated.server_peak.q95);
     }
@@ -96,8 +105,8 @@ mod tests {
             .with_neighborhood_size(200)
             .with_per_peer_storage(DataSize::from_gigabytes(2))
             .with_warmup_days(2);
-        let peer = run(&trace, &peer_cfg).expect("runs");
-        let headend = run(&trace, &headend_config(&peer_cfg)).expect("runs");
+        let peer = simulate(&trace, &peer_cfg);
+        let headend = simulate(&trace, &headend_config(&peer_cfg));
         assert!(
             headend.server_total <= peer.server_total,
             "removing the slot limit cannot increase misses"

@@ -22,7 +22,8 @@
 //! composition of pluggable pieces around it:
 //!
 //! ```text
-//!  run / run_parallel            (mod.rs, shard.rs — the four entry drivers)
+//!  run_serial / run_sharded      (mod.rs, shard.rs — the four entry drivers,
+//!                                 reached only through `Simulation::run`)
 //!  ───────────────────────────────────────────────────────────────────────
 //!        │ compose
 //!        ▼
@@ -130,9 +131,9 @@
 //! sequence, so reports stay bit-identical (see the `schedule` submodule).
 //!
 //! Whichever path runs, the report is **bit-identical** — property tests
-//! enforce `run == run_parallel == streaming run == streaming
-//! run_parallel` across strategies, chunk sizes, chunk layouts and shard
-//! counts.
+//! run [`Simulation`](crate::Simulation) serial and sharded over resident
+//! and streaming sources and enforce equal reports across strategies,
+//! chunk sizes, chunk layouts and shard counts.
 
 mod fault;
 mod feed;
@@ -171,46 +172,16 @@ use report::assemble_serial_report;
 use schedule::{scan_runs, spill_from_scan, ScheduleSupply, SidecarSpill};
 use stream::{ResidentSupply, StreamSupply};
 
-/// Runs one simulation of the workload in `source` under `config` and
-/// returns the measured report.
+/// The serial driver: one global event heap against the whole plant.
 ///
-/// This is the serial reference path: one global event heap against the
-/// whole plant. A resident [`Trace`](cablevod_trace::record::Trace) takes
-/// the classic precomputed hot path; chunked sources (an on-disk
+/// A resident [`Trace`](cablevod_trace::record::Trace) takes the classic
+/// precomputed hot path; chunked sources (an on-disk
 /// [`ColumnarReader`](cablevod_trace::columnar::ColumnarReader) in either
 /// chunk layout, a [`ChunkedTrace`](cablevod_trace::source::ChunkedTrace))
 /// stream through the engine with bounded resident memory. All produce
-/// bit-identical reports; [`run_parallel`] matches them too.
-///
-/// Deterministic: identical inputs produce identical reports.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] for invalid configurations, and
-/// propagates trace-source failures and broken-invariant failures from
-/// the cache and plant layers.
-///
-/// # Examples
-///
-/// ```
-/// use cablevod_sim::{run, SimConfig};
-/// use cablevod_trace::synth::{generate, SynthConfig};
-///
-/// let trace = generate(&SynthConfig { users: 300, programs: 60, days: 3,
-///     ..SynthConfig::smoke_test() });
-/// let report = run(&trace, &SimConfig::paper_default().with_neighborhood_size(100)
-///     .with_warmup_days(1))?;
-/// assert!(report.sessions > 0);
-/// # Ok::<(), cablevod_sim::SimError>(())
-/// ```
-pub fn run<S: TraceSource + ?Sized>(source: &S, config: &SimConfig) -> Result<SimReport, SimError> {
-    run_with(source, config, config.strategy().factory().as_ref())
-}
-
-/// [`run`] with an explicit strategy factory — the entry the
-/// [`Simulation`](crate::Simulation) builder uses so registry-resolved
-/// (out-of-tree) strategies ride the same drivers as the built-ins.
-pub(crate) fn run_with<S: TraceSource + ?Sized>(
+/// bit-identical reports, and [`run_sharded`] matches them too. Reached
+/// only through [`Simulation::run`](crate::Simulation::run).
+pub(crate) fn run_serial<S: TraceSource + ?Sized>(
     source: &S,
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
@@ -218,49 +189,15 @@ pub(crate) fn run_with<S: TraceSource + ?Sized>(
     check_record_count(source)?;
     match source.resident_records() {
         Some(records) => run_resident(records, source, config, strategy),
-        None => run_streaming(source, config, strategy),
+        None => Ok(run_streaming(source, config, strategy)?.0),
     }
 }
 
-/// Runs one simulation sharded per neighborhood over `threads` workers,
-/// producing a report **bit-identical** to [`run`]'s.
-///
-/// Correctness rests on the paper's own isolation structure — see the
-/// module docs; thread count affects wall-clock only, never results.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] for invalid configurations, and
-/// propagates trace-source failures and broken-invariant failures from
-/// the cache and plant layers.
-///
-/// # Examples
-///
-/// ```
-/// use cablevod_sim::{run, run_parallel, SimConfig};
-/// use cablevod_trace::synth::{generate, SynthConfig};
-///
-/// let trace = generate(&SynthConfig { users: 300, programs: 60, days: 3,
-///     ..SynthConfig::smoke_test() });
-/// let config = SimConfig::paper_default().with_neighborhood_size(100).with_warmup_days(1);
-/// assert_eq!(run_parallel(&trace, &config, 4)?, run(&trace, &config)?);
-/// # Ok::<(), cablevod_sim::SimError>(())
-/// ```
-pub fn run_parallel<S: TraceSource + ?Sized>(
-    source: &S,
-    config: &SimConfig,
-    threads: usize,
-) -> Result<SimReport, SimError> {
-    run_parallel_with(
-        source,
-        config,
-        config.strategy().factory().as_ref(),
-        threads,
-    )
-}
-
-/// [`run_parallel`] with an explicit strategy factory (see [`run_with`]).
-pub(crate) fn run_parallel_with<S: TraceSource + ?Sized>(
+/// The sharded driver: one simulation split per neighborhood over
+/// `threads` workers, producing a report **bit-identical** to
+/// [`run_serial`]'s. Correctness rests on the paper's own isolation
+/// structure (see the module docs); thread count affects wall-clock only.
+pub(crate) fn run_sharded<S: TraceSource + ?Sized>(
     source: &S,
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
@@ -312,17 +249,9 @@ fn check_record_count<S: TraceSource + ?Sized>(source: &S) -> Result<(), SimErro
     Ok(())
 }
 
-fn build_topology<S: TraceSource + ?Sized>(
-    source: &S,
-    config: &SimConfig,
-) -> Result<Topology, SimError> {
-    build_topology_for(source.user_count(), config)
-}
-
-/// Builds the plant for a subscriber count with no trace in hand (the
-/// online tier knows its population from an [`online::OnlineSpec`], not
-/// a source).
-fn build_topology_for(users: u32, config: &SimConfig) -> Result<Topology, SimError> {
+/// Builds the plant for a subscriber count (a source's
+/// [`TraceSource::user_count`], or an [`online::OnlineSpec`]'s).
+fn build_topology(users: u32, config: &SimConfig) -> Result<Topology, SimError> {
     Ok(Topology::build(
         TopologyConfig::new(users, config.neighborhood_size())
             .with_per_peer_storage(config.per_peer_storage())
@@ -474,7 +403,7 @@ fn run_resident<S: TraceSource + ?Sized>(
     let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
     let catalog = source.catalog();
 
-    let mut topo = build_topology(source, config)?;
+    let mut topo = build_topology(source.user_count(), config)?;
     let users = UserMap::from_topology(&topo);
     let ctxs = precompute_sessions(records, catalog, &users, &segmenter)?;
     let schedules = build_schedules(records, catalog, &topo, config, &segmenter, strategy)?;
@@ -518,20 +447,10 @@ fn serial_runs<S: TraceSource + ?Sized>(source: &S) -> Vec<Vec<u32>> {
 /// [`run_resident`], with records staged chunk by chunk, contexts computed
 /// at ingestion, Oracle schedules spilled to a windowed on-disk sidecar
 /// (see [`schedule`]), and the feed carried by a single-producer watermark
-/// feed (bounded retention — see [`feed`]).
+/// feed (bounded retention — see [`feed`]). Also returns the watermark
+/// feed's peak live slot count (`None` when the strategy takes no feed),
+/// which the idle-neighborhood regression test asserts stays bounded.
 fn run_streaming<S: TraceSource + ?Sized>(
-    source: &S,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
-) -> Result<SimReport, SimError> {
-    Ok(run_streaming_observed(source, config, strategy)?.0)
-}
-
-/// [`run_streaming`] plus retention observability: also returns the
-/// watermark feed's peak live slot count (`None` when the strategy takes
-/// no feed), which the idle-neighborhood regression test asserts stays
-/// bounded.
-fn run_streaming_observed<S: TraceSource + ?Sized>(
     source: &S,
     config: &SimConfig,
     strategy: &dyn StrategyFactory,
@@ -539,7 +458,7 @@ fn run_streaming_observed<S: TraceSource + ?Sized>(
     config.validate()?;
     let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
 
-    let mut topo = build_topology(source, config)?;
+    let mut topo = build_topology(source.user_count(), config)?;
     let nbhd_count = topo.neighborhood_count();
     let schedules = if strategy.needs_schedule() {
         ScheduleSupply::Spilled(spill_from_scan(source, &topo, config, &segmenter)?)

@@ -1,5 +1,5 @@
 //! The **online** decision tier: the engine as a long-running
-//! admission/placement service (ROADMAP item 2).
+//! admission/placement service.
 //!
 //! Offline, a run is a closed computation: the supply scans a finished
 //! trace and the driver burns through every event. Online, sessions
@@ -25,14 +25,11 @@
 //!
 //! Every strategy in the registry, fault plans, and enforcing
 //! admission/retry work unchanged — they live below the seams this
-//! module plugs into. Two engines are offered: [`serve_serial`] (one
-//! driver, the whole plant — the online analogue of [`run`](super::run))
-//! and [`serve_sharded`] (per-neighborhood `ShardPlant` drivers stepped
-//! round-robin and merged with the same fold as
-//! [`run_parallel`](super::run_parallel)). Both produce a final
-//! [`SimReport`] **byte-identical** to the offline replay of the same
-//! session sequence — the loopback equivalence tests pin this per
-//! strategy for both tiers.
+//! module plugs into. [`serve_serial`] runs one driver over the whole
+//! plant — the online analogue of the serial offline driver — and its
+//! final [`SimReport`] is **byte-identical** to the offline replay of the
+//! same session sequence; the loopback equivalence tests pin this per
+//! strategy.
 //!
 //! # Ordering contract
 //!
@@ -70,10 +67,9 @@ use super::feed::wants_feed;
 use super::lifecycle::{
     feed_event, session_ctx, PendingSession, RecordSupply, SessionDriver, Step, UserMap,
 };
-use super::report::{assemble_serial_report, merge_outcomes};
+use super::report::assemble_serial_report;
 use super::schedule::ScheduleSupply;
-use super::shard::{ShardOutcome, ShardPlant};
-use super::{build_index, build_indexes, build_schedules, build_topology_for};
+use super::{build_indexes, build_schedules, build_topology};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimReport;
@@ -112,15 +108,6 @@ impl<'a> OnlineSpec<'a> {
             capacity: source.record_count(),
             schedule_records: source.resident_records(),
         }
-    }
-
-    fn validate(&self) -> Result<(), SimError> {
-        if self.capacity > u64::from(u32::MAX) {
-            return Err(SimError::Config {
-                reason: "online sessions beyond 2^32 are not supported".into(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -187,8 +174,8 @@ pub trait OnlineEngine {
 /// duration of `session`, then drains every remaining event and returns
 /// the callback's value together with the final report.
 ///
-/// The report is byte-identical to [`run`](super::run) over the same
-/// session sequence.
+/// The report is byte-identical to an offline
+/// [`Simulation`](crate::Simulation) run over the same session sequence.
 ///
 /// # Errors
 ///
@@ -203,12 +190,28 @@ pub fn serve_serial<T>(
     session: impl FnOnce(&mut dyn OnlineEngine) -> Result<T, SimError>,
 ) -> Result<(T, SimReport), SimError> {
     config.validate()?;
-    spec.validate()?;
+    if spec.capacity > u64::from(u32::MAX) {
+        return Err(SimError::Config {
+            reason: "online sessions beyond 2^32 are not supported".into(),
+        });
+    }
     let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
-    let mut topo = build_topology_for(spec.user_count, config)?;
+    let mut topo = build_topology(spec.user_count, config)?;
     let nbhd_count = topo.neighborhood_count();
     let users = UserMap::from_topology(&topo);
-    let schedules = online_schedules(spec, &topo, config, &segmenter, strategy)?;
+    let schedules = match spec.schedule_records {
+        Some(records) => {
+            build_schedules(records, spec.catalog, &topo, config, &segmenter, strategy)?
+        }
+        None if strategy.needs_schedule() => {
+            return Err(SimError::Config {
+                reason: "this strategy needs an offline access schedule; \
+                         serve it from a replayed trace, not a live ingress"
+                    .into(),
+            })
+        }
+        None => ScheduleSupply::none(nbhd_count),
+    };
     let indexes = build_indexes(&topo, config, &segmenter, &schedules, strategy)?;
 
     let wfeed = wants_feed(strategy).then(|| WatermarkFeed::new(spec.capacity, 1, nbhd_count));
@@ -219,17 +222,25 @@ pub fn serve_serial<T>(
     };
     let plant = FaultingPlant::new(&mut topo, config, 0, nbhd_count);
     let driver = SessionDriver::new(supply, provider, plant, indexes, 0, config, segmenter, None);
-    let mut engine = SerialOnline {
+    let mut engine = LiveEngine {
         driver,
         queue,
-        ingress: Ingress::new(users, spec, config, segmenter, wfeed.as_ref()),
+        users,
+        catalog: spec.catalog,
+        config,
+        segmenter,
+        wfeed: wfeed.as_ref(),
+        capacity: spec.capacity,
+        next_gidx: 0,
+        last_start: None,
+        advanced: None,
         epoch: 0,
     };
 
     let value = session(&mut engine)?;
     engine.drain()?;
 
-    let SerialOnline { driver, .. } = engine;
+    let LiveEngine { driver, .. } = engine;
     let (plant, indexes, counters) = driver.into_parts();
     let (_, degradation) = plant.into_parts();
     let days = spec.days.max(1);
@@ -240,104 +251,13 @@ pub fn serve_serial<T>(
     ))
 }
 
-/// Runs the sharded online engine: per-neighborhood `ShardPlant`
-/// drivers stepped round-robin in the calling thread (cooperative and
-/// deterministic — the sharding buys isolation, not threads), merged
-/// with the same fold as [`run_parallel`](super::run_parallel).
-///
-/// The report is byte-identical to [`serve_serial`]'s (and hence to the
-/// offline replay's).
-///
-/// # Errors
-///
-/// As for [`serve_serial`].
-pub fn serve_sharded<T>(
-    spec: &OnlineSpec<'_>,
-    config: &SimConfig,
-    strategy: &dyn StrategyFactory,
-    session: impl FnOnce(&mut dyn OnlineEngine) -> Result<T, SimError>,
-) -> Result<(T, SimReport), SimError> {
-    config.validate()?;
-    spec.validate()?;
-    let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
-    let topo = build_topology_for(spec.user_count, config)?;
-    let nbhd_count = topo.neighborhood_count();
-    let users = UserMap::from_topology(&topo);
-    let schedules = online_schedules(spec, &topo, config, &segmenter, strategy)?;
-    let positions = topo.local_positions();
-
-    let wfeed = wants_feed(strategy).then(|| WatermarkFeed::new(spec.capacity, 1, nbhd_count));
-    let mut tasks = Vec::with_capacity(nbhd_count);
-    for n in 0..nbhd_count {
-        let index = build_index(n, &topo, config, &segmenter, schedules.window(n)?, strategy)?;
-        let plant = FaultingPlant::new(
-            ShardPlant::build(n, &topo, config, &positions)?,
-            config,
-            n as u32,
-            1,
-        );
-        let queue = SharedQueue::default();
-        let supply = LiveSupply {
-            queue: Rc::clone(&queue),
-        };
-        // Every shard reads producer 0's watermark — publication is
-        // central (at submit), so shards are never parked, and
-        // `WatermarkFeed::finish` is idempotent across their drains.
-        let provider = wfeed.as_ref().map(|f| SharedFeed::new(f, 0, n..n + 1));
-        tasks.push(ShardTask {
-            driver: SessionDriver::new(
-                supply,
-                provider,
-                plant,
-                vec![index],
-                n as u32,
-                config,
-                segmenter,
-                None,
-            ),
-            queue,
-        });
-    }
-    let mut engine = ShardedOnline {
-        tasks,
-        ingress: Ingress::new(users, spec, config, segmenter, wfeed.as_ref()),
-        epoch: 0,
-    };
-
-    let value = session(&mut engine)?;
-    let outcomes = engine.drain_all()?;
-
-    let days = spec.days.max(1);
-    let warmup = config.warmup_days().min(days - 1);
-    let report = merge_outcomes(outcomes.into_iter().map(Ok), days, warmup, nbhd_count)?;
-    Ok((value, report))
-}
-
-fn online_schedules(
-    spec: &OnlineSpec<'_>,
-    topo: &cablevod_hfc::topology::Topology,
-    config: &SimConfig,
-    segmenter: &Segmenter,
-    strategy: &dyn StrategyFactory,
-) -> Result<ScheduleSupply, SimError> {
-    match spec.schedule_records {
-        Some(records) => build_schedules(records, spec.catalog, topo, config, segmenter, strategy),
-        None if strategy.needs_schedule() => Err(SimError::Config {
-            reason: "this strategy needs an offline access schedule; \
-                     serve it from a replayed trace, not a live ingress"
-                .into(),
-        }),
-        None => Ok(ScheduleSupply::none(topo.neighborhood_count())),
-    }
-}
-
 /// The staging queue a [`LiveSupply`] drains: the ingress pushes, the
 /// lifecycle pops. Single-threaded by construction (the decision tier is
 /// stepped cooperatively), hence `Rc<RefCell<..>>`.
 type SharedQueue = Rc<RefCell<VecDeque<PendingSession>>>;
 
 /// A [`RecordSupply`] over a caller-fed queue. Publication and watermark
-/// advancement happened at submit (see [`Ingress::admit`]), so peeking
+/// advancement happened at submit (see [`LiveEngine::admit`]), so peeking
 /// never touches the feed and the driver never parks on the frontier.
 struct LiveSupply {
     queue: SharedQueue,
@@ -356,43 +276,30 @@ impl<F: cablevod_cache::FeedProvider> RecordSupply<F> for LiveSupply {
     }
 }
 
-/// Shared ingress bookkeeping: context computation, feed publication,
-/// capacity and monotonicity enforcement.
-struct Ingress<'s> {
+/// The online engine: one [`SessionDriver`] over the whole plant, plus
+/// the ingress bookkeeping (context computation, feed publication,
+/// capacity and monotonicity enforcement).
+struct LiveEngine<'s> {
+    driver: SessionDriver<
+        's,
+        FaultingPlant<&'s mut cablevod_hfc::topology::Topology>,
+        SharedFeed<'s>,
+        LiveSupply,
+    >,
+    queue: SharedQueue,
     users: UserMap,
     catalog: &'s ProgramCatalog,
     config: &'s SimConfig,
     segmenter: Segmenter,
-    seg_len: u64,
     wfeed: Option<&'s WatermarkFeed>,
     capacity: u64,
     next_gidx: u64,
     last_start: Option<SimTime>,
     advanced: Option<SimTime>,
+    epoch: u64,
 }
 
-impl<'s> Ingress<'s> {
-    fn new(
-        users: UserMap,
-        spec: &OnlineSpec<'s>,
-        config: &'s SimConfig,
-        segmenter: Segmenter,
-        wfeed: Option<&'s WatermarkFeed>,
-    ) -> Self {
-        Ingress {
-            users,
-            catalog: spec.catalog,
-            config,
-            segmenter,
-            seg_len: segmenter.segment_len().as_secs(),
-            wfeed,
-            capacity: spec.capacity,
-            next_gidx: 0,
-            last_start: None,
-            advanced: None,
-        }
-    }
-
+impl LiveEngine<'_> {
     /// Admits one submission: enforces the ordering contract, computes
     /// the session context, publishes its feed event and advances the
     /// producer watermark past it.
@@ -417,7 +324,8 @@ impl<'s> Ingress<'s> {
                     .into(),
             });
         }
-        let ctx = session_ctx(&rec, self.catalog, &self.users, self.seg_len)?;
+        let seg_len = self.segmenter.segment_len().as_secs();
+        let ctx = session_ctx(&rec, self.catalog, &self.users, seg_len)?;
         let gidx = self.next_gidx;
         if let Some(feed) = self.wfeed {
             feed.publish(gidx, feed_event(&rec, &ctx, self.config, &self.segmenter));
@@ -428,31 +336,6 @@ impl<'s> Ingress<'s> {
         Ok(PendingSession { gidx, rec, ctx })
     }
 
-    fn note_advance(&mut self, now: SimTime) -> Result<(), SimError> {
-        if self.advanced.is_some_and(|h| now < h) {
-            return Err(SimError::Config {
-                reason: "advance horizons must not regress".into(),
-            });
-        }
-        self.advanced = Some(now);
-        Ok(())
-    }
-}
-
-/// The serial online engine: one [`SessionDriver`] over the whole plant.
-struct SerialOnline<'s> {
-    driver: SessionDriver<
-        's,
-        FaultingPlant<&'s mut cablevod_hfc::topology::Topology>,
-        SharedFeed<'s>,
-        LiveSupply,
-    >,
-    queue: SharedQueue,
-    ingress: Ingress<'s>,
-    epoch: u64,
-}
-
-impl SerialOnline<'_> {
     fn drain(&mut self) -> Result<(), SimError> {
         loop {
             match self.driver.step_until(None)? {
@@ -467,16 +350,21 @@ impl SerialOnline<'_> {
     }
 }
 
-impl OnlineEngine for SerialOnline<'_> {
+impl OnlineEngine for LiveEngine<'_> {
     fn submit(&mut self, rec: SessionRecord) -> Result<u64, SimError> {
-        let pending = self.ingress.admit(rec)?;
+        let pending = self.admit(rec)?;
         let gidx = pending.gidx;
         self.queue.borrow_mut().push_back(pending);
         Ok(gidx)
     }
 
     fn advance_to(&mut self, now: SimTime) -> Result<bool, SimError> {
-        self.ingress.note_advance(now)?;
+        if self.advanced.is_some_and(|h| now < h) {
+            return Err(SimError::Config {
+                reason: "advance horizons must not regress".into(),
+            });
+        }
+        self.advanced = Some(now);
         match self.driver.step_until(Some(now))? {
             Step::Horizon { progressed } | Step::Blocked { progressed } => {
                 if progressed {
@@ -504,96 +392,10 @@ impl OnlineEngine for SerialOnline<'_> {
     }
 
     fn submitted(&self) -> u64 {
-        self.ingress.next_gidx
+        self.next_gidx
     }
 
     fn neighborhoods(&self) -> usize {
         self.driver.indexes().len()
-    }
-}
-
-/// One neighborhood's online shard: its driver and the queue its
-/// [`LiveSupply`] drains.
-struct ShardTask<'s> {
-    driver: SessionDriver<'s, FaultingPlant<ShardPlant<'s>>, SharedFeed<'s>, LiveSupply>,
-    queue: SharedQueue,
-}
-
-/// The sharded online engine: per-neighborhood drivers stepped
-/// round-robin, merged after drain.
-struct ShardedOnline<'s> {
-    tasks: Vec<ShardTask<'s>>,
-    ingress: Ingress<'s>,
-    epoch: u64,
-}
-
-impl ShardedOnline<'_> {
-    fn drain_all(self) -> Result<Vec<ShardOutcome>, SimError> {
-        let mut outcomes = Vec::with_capacity(self.tasks.len());
-        for mut task in self.tasks {
-            loop {
-                match task.driver.step_until(None)? {
-                    Step::Done => break,
-                    Step::Blocked { .. } => {
-                        debug_assert!(false, "a live supply's frontier is advanced at submit");
-                        std::thread::yield_now();
-                    }
-                    Step::Horizon { .. } => {
-                        unreachable!("unbounded steps never park on a horizon")
-                    }
-                }
-            }
-            outcomes.push(ShardOutcome::from_driver(task.driver));
-        }
-        Ok(outcomes)
-    }
-}
-
-impl OnlineEngine for ShardedOnline<'_> {
-    fn submit(&mut self, rec: SessionRecord) -> Result<u64, SimError> {
-        let pending = self.ingress.admit(rec)?;
-        let gidx = pending.gidx;
-        self.tasks[pending.ctx.nbhd as usize]
-            .queue
-            .borrow_mut()
-            .push_back(pending);
-        Ok(gidx)
-    }
-
-    fn advance_to(&mut self, now: SimTime) -> Result<bool, SimError> {
-        self.ingress.note_advance(now)?;
-        let mut any = false;
-        for task in &mut self.tasks {
-            match task.driver.step_until(Some(now))? {
-                Step::Horizon { progressed } | Step::Blocked { progressed } => any |= progressed,
-                Step::Done => unreachable!("bounded steps never finish the run"),
-            }
-        }
-        if any {
-            self.epoch += 1;
-        }
-        Ok(any)
-    }
-
-    fn lookup(&self, nbhd: u32, program: ProgramId) -> Result<OnlinePlacement, SimError> {
-        let task = self
-            .tasks
-            .get(nbhd as usize)
-            .ok_or_else(|| SimError::Config {
-                reason: format!("unknown neighborhood {nbhd}"),
-            })?;
-        Ok(OnlinePlacement::read(&task.driver.indexes()[0], program))
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn submitted(&self) -> u64 {
-        self.ingress.next_gidx
-    }
-
-    fn neighborhoods(&self) -> usize {
-        self.tasks.len()
     }
 }

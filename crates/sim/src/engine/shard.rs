@@ -199,7 +199,7 @@ pub(super) fn run_parallel_resident<S: TraceSource + ?Sized>(
 
     // The topology is built once for membership, capacities and placement
     // determinism, then only read; every shard owns fresh mutable state.
-    let topo = build_topology(source, config)?;
+    let topo = build_topology(source.user_count(), config)?;
     let users = UserMap::from_topology(&topo);
 
     let ctxs = precompute_sessions(records, catalog, &users, &segmenter)?;
@@ -253,7 +253,7 @@ pub(super) fn run_parallel_streaming<S: TraceSource + ?Sized>(
     config.validate()?;
     let total = source.record_count();
     let segmenter = Segmenter::new(config.segment_len(), config.stream_rate());
-    let topo = build_topology(source, config)?;
+    let topo = build_topology(source.user_count(), config)?;
     let nbhd_count = topo.neighborhood_count();
 
     let plan = shard_plans(source, &topo, config, &segmenter, strategy)?;

@@ -11,6 +11,33 @@ use cablevod_trace::record::Trace;
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::{generate, SynthConfig};
 
+use crate::simulation::ThreadPolicy::{self, Fixed, Serial};
+use crate::Simulation;
+
+/// One run through the [`Simulation`] front door: the serial driver, or
+/// the sharded one over a fixed worker count.
+fn try_simulate<S: TraceSource + ?Sized>(
+    source: &S,
+    config: &SimConfig,
+    threads: ThreadPolicy,
+) -> Result<SimReport, SimError> {
+    Simulation::over(source)
+        .config(config.clone())
+        .thread_policy(threads)
+        .run()
+        .map(|outcome| outcome.report)
+}
+
+/// [`try_simulate`], panicking at the caller's line on failure.
+#[track_caller]
+fn simulate<S: TraceSource + ?Sized>(
+    source: &S,
+    config: &SimConfig,
+    threads: ThreadPolicy,
+) -> SimReport {
+    try_simulate(source, config, threads).expect("simulation runs")
+}
+
 fn small_trace() -> Trace {
     generate(&SynthConfig {
         users: 600,
@@ -27,10 +54,14 @@ fn base_config() -> SimConfig {
         .with_warmup_days(2)
 }
 
+fn no_cache_config() -> SimConfig {
+    base_config().with_strategy(StrategySpec::NoCache)
+}
+
 #[test]
 fn no_cache_equals_offered_load() {
     let trace = small_trace();
-    let report = run(&trace, &base_config().with_strategy(StrategySpec::NoCache)).expect("runs");
+    let report = simulate(&trace, &no_cache_config(), Serial);
     assert_eq!(report.cache.hits, 0);
     assert_eq!(report.hit_rate(), 0.0);
     // Server carries every watched second at the stream rate.
@@ -49,8 +80,8 @@ fn no_cache_equals_offered_load() {
 #[test]
 fn caching_reduces_server_load() {
     let trace = small_trace();
-    let none = run(&trace, &base_config().with_strategy(StrategySpec::NoCache)).expect("runs");
-    let lfu = run(&trace, &base_config()).expect("runs");
+    let none = simulate(&trace, &no_cache_config(), Serial);
+    let lfu = simulate(&trace, &base_config(), Serial);
     assert!(lfu.cache.hits > 0, "cache must produce hits");
     assert!(
         lfu.server_total < none.server_total,
@@ -66,8 +97,8 @@ fn coax_load_is_identical_with_and_without_cache() {
     // §VI-B: broadcast means every segment crosses the coax once no
     // matter who serves it.
     let trace = small_trace();
-    let none = run(&trace, &base_config().with_strategy(StrategySpec::NoCache)).expect("runs");
-    let lfu = run(&trace, &base_config()).expect("runs");
+    let none = simulate(&trace, &no_cache_config(), Serial);
+    let lfu = simulate(&trace, &base_config(), Serial);
     assert_eq!(none.coax_peak.mean, lfu.coax_peak.mean);
     assert_eq!(none.segment_requests, lfu.segment_requests);
 }
@@ -75,13 +106,13 @@ fn coax_load_is_identical_with_and_without_cache() {
 #[test]
 fn oracle_dominates_lfu_dominates_nothing() {
     let trace = small_trace();
-    let none = run(&trace, &base_config().with_strategy(StrategySpec::NoCache)).expect("runs");
-    let lfu = run(&trace, &base_config()).expect("runs");
-    let oracle = run(
+    let none = simulate(&trace, &no_cache_config(), Serial);
+    let lfu = simulate(&trace, &base_config(), Serial);
+    let oracle = simulate(
         &trace,
         &base_config().with_strategy(StrategySpec::default_oracle()),
-    )
-    .expect("runs");
+        Serial,
+    );
     assert!(
         oracle.server_total <= lfu.server_total,
         "oracle must not lose to LFU"
@@ -92,15 +123,15 @@ fn oracle_dominates_lfu_dominates_nothing() {
 #[test]
 fn deterministic_reports() {
     let trace = small_trace();
-    let a = run(&trace, &base_config()).expect("runs");
-    let b = run(&trace, &base_config()).expect("runs");
+    let a = simulate(&trace, &base_config(), Serial);
+    let b = simulate(&trace, &base_config(), Serial);
     assert_eq!(a, b);
 }
 
 #[test]
 fn server_plus_peer_bytes_conserve_demand() {
     let trace = small_trace();
-    let report = run(&trace, &base_config()).expect("runs");
+    let report = simulate(&trace, &base_config(), Serial);
     // Total coax bytes = total demand; server bytes = misses only.
     let coax_total: u64 = {
         // recompute demand from the trace
@@ -128,7 +159,7 @@ fn global_lfu_runs_and_uses_feed() {
         history: SimDuration::from_days(3),
         lag: SimDuration::from_minutes(30),
     });
-    let report = run(&trace, &config).expect("runs");
+    let report = simulate(&trace, &config, Serial);
     assert!(report.cache.hits > 0);
 }
 
@@ -145,7 +176,7 @@ fn seeking_sessions_request_interior_segments() {
         trace.iter().any(|r| r.offset.as_secs() > 0),
         "workload must contain seeks"
     );
-    let none = run(&trace, &base_config().with_strategy(StrategySpec::NoCache)).expect("runs");
+    let none = simulate(&trace, &no_cache_config(), Serial);
     // Conservation still holds with seeks.
     let expected_bits: u64 = trace
         .records()
@@ -157,7 +188,7 @@ fn seeking_sessions_request_interior_segments() {
         .sum();
     assert_eq!(none.server_total.as_bits(), expected_bits);
     // Caching still works on a seeking workload.
-    let lfu = run(&trace, &base_config()).expect("runs");
+    let lfu = simulate(&trace, &base_config(), Serial);
     assert!(lfu.cache.hits > 0);
     assert!(lfu.server_total < none.server_total);
 }
@@ -165,7 +196,7 @@ fn seeking_sessions_request_interior_segments() {
 #[test]
 fn replication_two_runs() {
     let trace = small_trace();
-    let report = run(&trace, &base_config().with_replication(2)).expect("runs");
+    let report = simulate(&trace, &base_config().with_replication(2), Serial);
     assert!(report.cache.hits > 0);
 }
 
@@ -183,9 +214,9 @@ fn parallel_matches_serial_on_every_strategy() {
         },
     ] {
         let config = base_config().with_strategy(spec);
-        let serial = run(&trace, &config).expect("serial runs");
+        let serial = simulate(&trace, &config, Serial);
         for threads in [1, 2, 8] {
-            let parallel = run_parallel(&trace, &config, threads).expect("parallel runs");
+            let parallel = simulate(&trace, &config, Fixed(threads));
             assert_eq!(parallel, serial, "strategy {spec:?}, threads {threads}");
         }
     }
@@ -201,8 +232,8 @@ fn parallel_matches_serial_with_seeks_and_replication() {
         ..SynthConfig::smoke_test()
     });
     let config = base_config().with_replication(2);
-    let serial = run(&trace, &config).expect("serial runs");
-    let parallel = run_parallel(&trace, &config, 3).expect("parallel runs");
+    let serial = simulate(&trace, &config, Serial);
+    let parallel = simulate(&trace, &config, Fixed(3));
     assert_eq!(parallel, serial);
 }
 
@@ -210,8 +241,8 @@ fn parallel_matches_serial_with_seeks_and_replication() {
 fn parallel_matches_serial_under_random_placement() {
     let trace = small_trace();
     let config = base_config().with_placement(PlacementPolicy::Random { seed: 7 });
-    let serial = run(&trace, &config).expect("serial runs");
-    let parallel = run_parallel(&trace, &config, 4).expect("parallel runs");
+    let serial = simulate(&trace, &config, Serial);
+    let parallel = simulate(&trace, &config, Fixed(4));
     assert_eq!(parallel, serial);
 }
 
@@ -219,7 +250,7 @@ fn parallel_matches_serial_under_random_placement() {
 fn parallel_rejects_invalid_configs_like_serial() {
     let trace = small_trace();
     let config = base_config().with_neighborhood_size(0);
-    assert!(run_parallel(&trace, &config, 2).is_err());
+    assert!(try_simulate(&trace, &config, Fixed(2)).is_err());
 }
 
 #[test]
@@ -236,9 +267,9 @@ fn streaming_serial_matches_resident_on_every_strategy() {
         },
     ] {
         let config = base_config().with_strategy(spec);
-        let resident = run(&trace, &config).expect("resident runs");
+        let resident = simulate(&trace, &config, Serial);
         for chunk in [64usize, trace.len()] {
-            let streamed = run(&ChunkedTrace::new(&trace, chunk), &config).expect("streaming runs");
+            let streamed = simulate(&ChunkedTrace::new(&trace, chunk), &config, Serial);
             assert_eq!(streamed, resident, "strategy {spec:?}, chunk {chunk}");
         }
     }
@@ -251,10 +282,10 @@ fn streaming_parallel_matches_serial_with_watermark_feed() {
         history: SimDuration::from_days(3),
         lag: SimDuration::from_minutes(30),
     });
-    let serial = run(&trace, &config).expect("serial runs");
+    let serial = simulate(&trace, &config, Serial);
     for (chunk, threads) in [(1usize, 2usize), (64, 1), (64, 3), (trace.len(), 2)] {
         let source = ChunkedTrace::new(&trace, chunk);
-        let streamed = run_parallel(&source, &config, threads).expect("streaming runs");
+        let streamed = simulate(&source, &config, Fixed(threads));
         assert_eq!(streamed, serial, "chunk {chunk}, threads {threads}");
     }
 }
@@ -264,8 +295,8 @@ fn streaming_rejects_invalid_configs() {
     let trace = small_trace();
     let source = ChunkedTrace::new(&trace, 64);
     let config = base_config().with_neighborhood_size(0);
-    assert!(run(&source, &config).is_err());
-    assert!(run_parallel(&source, &config, 2).is_err());
+    assert!(try_simulate(&source, &config, Serial).is_err());
+    assert!(try_simulate(&source, &config, Fixed(2)).is_err());
 }
 
 fn slab_entry(i: u32) -> (cablevod_trace::record::SessionRecord, SessionCtx) {
@@ -358,8 +389,7 @@ fn idle_neighborhood_does_not_pin_the_streaming_feed() {
 
     let source = ChunkedTrace::new(&trace, 1_024);
     let factory = config.strategy().factory();
-    let (report, peak) =
-        run_streaming_observed(&source, &config, factory.as_ref()).expect("streaming runs");
+    let (report, peak) = run_streaming(&source, &config, factory.as_ref()).expect("streaming runs");
     let peak = peak.expect("global LFU consumes the feed");
     // Without the idle sweep, neighborhood 1's cursor floors reclamation
     // at zero and every one of the 100k slots stays live. With it, the
@@ -370,7 +400,7 @@ fn idle_neighborhood_does_not_pin_the_streaming_feed() {
         "idle neighborhood pinned the feed: {peak} live slots for a {total}-event stream"
     );
     // The sweep must not change results.
-    assert_eq!(report, run(&trace, &config).expect("resident runs"));
+    assert_eq!(report, simulate(&trace, &config, Serial));
 }
 
 /// Spilled schedule lifecycle: the sidecar exists while windows read it,

@@ -4,35 +4,38 @@
 //! Video-on-Demand Services on Cable Networks"*, behind **one front
 //! door**:
 //!
-//! * [`Simulation`] — the builder every run goes through:
-//!   `Simulation::over(source).config(cfg).threads(n).run()` composes the
-//!   serial or sharded driver over a resident or streaming
+//! * [`Simulation`] — the builder every run goes through, and the only
+//!   one: `Simulation::over(source).config(cfg).threads(n).run()` composes
+//!   the serial or sharded driver over a resident or streaming
 //!   [`TraceSource`](cablevod_trace::source::TraceSource) and returns a
 //!   [`RunOutcome`] — the measured [`SimReport`] plus [`simulation::
 //!   RunTelemetry`] (wall time, trace decode work, peak RSS). Out-of-tree
-//!   cache strategies register on the builder by name through the open
-//!   [`StrategyFactory`](cablevod_cache::StrategyFactory) /
-//!   [`StrategyRegistry`](cablevod_cache::StrategyRegistry) interface;
+//!   cache strategies plug in through the open
+//!   [`StrategyFactory`](cablevod_cache::StrategyFactory) interface:
+//!   [`Simulation::strategy_factory`] takes an instance, and names are
+//!   resolved by a [`StrategyRegistry`](cablevod_cache::StrategyRegistry)
+//!   in [`Scenario`] and in the bins;
 //! * [`Scenario`] — a serializable description of a whole experiment
 //!   (trace source, base config, series/point sweep axes, thread policy)
-//!   with a generic executor; spec files round-trip through
+//!   with one grid executor; spec files round-trip through
 //!   [`Scenario::to_spec_string`] and drive the `cablevod-scenario`
-//!   binary end-to-end. [`Scenario::execute_resilient`] is the
-//!   crash-safe executor: per-cell `catch_unwind` isolation, bounded
+//!   binary end-to-end. [`Scenario::execute_resilient`] is that
+//!   executor, crash-safe: per-cell `catch_unwind` isolation, bounded
 //!   retry, per-attempt timeouts, and a CRC-framed checkpoint journal
 //!   ([`CheckpointJournal`]) that lets a killed grid resume to a
 //!   byte-identical final report (see the
-//!   [`scenario`] module's "Crash safety & resume" section);
+//!   [`scenario`] module's "Crash safety & resume" section).
+//!   [`Scenario::execute`] / [`Scenario::execute_on`] run the same grid
+//!   with default options and return plain results;
 //! * [`engine`] — the discrete-event core behind the facade: session
 //!   records drive segment-granularity requests against per-neighborhood
-//!   cooperative caches with exact byte accounting; [`engine::run`] /
-//!   [`engine::run_parallel`] remain as thin direct entry points, and the
-//!   builder produces **bit-identical** reports to them (property-tested);
+//!   cooperative caches with exact byte accounting; its serial and
+//!   sharded drivers produce **bit-identical** reports (property-tested),
+//!   and [`engine::online`] steps the same lifecycle as a live service;
 //! * [`config`] / [`report`] — the swept parameters and measured results;
 //! * [`baseline`] — the no-cache centralized service and the
 //!   headend-cache equivalence transform;
-//! * [`multicast`] — the §IV-A "why not multicast" bounds;
-//! * [`runner`] — the parameter-sweep pool ([`run_sweep`]).
+//! * [`multicast`] — the §IV-A "why not multicast" bounds.
 //!
 //! # Fault model
 //!
@@ -103,18 +106,16 @@ pub mod engine;
 pub mod error;
 pub mod multicast;
 pub mod report;
-pub mod runner;
+mod runner;
 pub mod scenario;
 pub mod simulation;
 
 pub use cablevod_hfc::fault::{FaultEvent, FaultKind, FaultPlan, FaultTimeline};
 pub use config::{AdmissionMode, RetryPolicy, SimConfig};
-pub use engine::online::{serve_serial, serve_sharded, OnlineEngine, OnlinePlacement, OnlineSpec};
-pub use engine::{run, run_parallel};
+pub use engine::online::{serve_serial, OnlineEngine, OnlinePlacement, OnlineSpec};
 pub use error::SimError;
 pub use multicast::MulticastStats;
 pub use report::{DegradationReport, NeighborhoodDegradation, SimReport};
-pub use runner::run_sweep;
 pub use scenario::{
     report_from_json_str, report_to_json_string, AxisPoint, CellKey, CellOutcome, CellRecord,
     CellResult, CheckpointJournal, ConfigPatch, GridOutcome, JobRetry, JournalHeader, OwnedSource,

@@ -1,12 +1,12 @@
 //! Parallel execution: the work-conserving hybrid pool.
 //!
-//! Two layers of parallelism used to own separate pools — [`run_sweep`]
-//! / the [`Scenario`](crate::Scenario) executors scheduled *independent
-//! simulation runs* (one per parameter point), while
-//! [`crate::engine::run_parallel`] sharded *one simulation* per
-//! neighborhood — and a sweep containing one big sharded cell serialized
-//! behind it. Both layers now draw workers from one process-wide
-//! **permit ledger** sized to `default_threads`:
+//! Two layers of parallelism share this pool: the
+//! [`Scenario`](crate::Scenario) executor schedules *independent
+//! simulation runs* (one per grid cell), while the sharded engine driver
+//! splits *one simulation* per neighborhood. Separate pools would make a
+//! sweep containing one big sharded cell serialize behind it, so both
+//! layers draw workers from one process-wide **permit ledger** sized to
+//! `default_threads`:
 //!
 //! * the calling thread always works (an implicit permit), so every
 //!   entry point makes progress even when the machine is saturated —
@@ -34,13 +34,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::thread::Scope;
 
-use cablevod_trace::source::TraceSource;
-
-use crate::config::SimConfig;
-use crate::engine::run;
-use crate::error::SimError;
-use crate::report::SimReport;
-
 /// The process-wide extra-worker budget: `default_threads() - 1` units
 /// (the caller's own thread is the implicit extra). Shared by the sweep
 /// and shard layers so their composition cannot oversubscribe the
@@ -67,19 +60,9 @@ impl Drop for Permit {
     }
 }
 
-/// Takes one extra-worker permit if the ledger has capacity. Never
-/// blocks: a caller that gets `None` simply does the work on its own
-/// thread.
-pub(crate) fn take_permit() -> Option<Permit> {
-    let mut free = ledger().free.lock().expect("worker ledger poisoned");
-    if *free == 0 {
-        return None;
-    }
-    *free -= 1;
-    Some(Permit(()))
-}
-
 /// Takes up to `want` permits (possibly zero — whatever the ledger has).
+/// Never blocks: a caller that gets fewer simply does the rest of the
+/// work on its own thread.
 pub(crate) fn take_permits(want: usize) -> Vec<Permit> {
     let mut free = ledger().free.lock().expect("worker ledger poisoned");
     let n = (*free).min(want);
@@ -146,7 +129,7 @@ impl<R: Send, F: Fn(usize) -> R + Sync> IndexedRun<'_, R, F> {
             {
                 continue;
             }
-            let Some(permit) = take_permit() else {
+            let Some(permit) = take_permits(1).pop() else {
                 // Give the budget slot back so a later attempt (after the
                 // ledger refills) can still use it.
                 self.spawned.fetch_sub(1, Ordering::Relaxed);
@@ -208,69 +191,9 @@ pub(crate) fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs one simulation per `(label, config)` pair, in parallel, returning
-/// results in input order.
-///
-/// Generic over [`TraceSource`], so a sweep can run against a resident
-/// [`Trace`](cablevod_trace::record::Trace) or replay an on-disk columnar file without each job holding
-/// the full record vector.
-pub fn run_sweep<L: Clone + Send + Sync, S: TraceSource + ?Sized>(
-    source: &S,
-    jobs: &[(L, SimConfig)],
-) -> Vec<(L, Result<SimReport, SimError>)> {
-    let results = run_indexed(jobs.len(), default_threads(), |i| run(source, &jobs[i].1));
-    jobs.iter()
-        .zip(results)
-        .map(|((label, _), result)| (label.clone(), result))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cablevod_hfc::units::DataSize;
-    use cablevod_trace::synth::{generate, SynthConfig};
-
-    #[test]
-    fn sweep_matches_individual_runs_in_order() {
-        let trace = generate(&SynthConfig {
-            users: 300,
-            programs: 80,
-            days: 4,
-            ..SynthConfig::smoke_test()
-        });
-        let jobs: Vec<(u64, SimConfig)> = [1u64, 2, 4]
-            .into_iter()
-            .map(|gb| {
-                (
-                    gb,
-                    SimConfig::paper_default()
-                        .with_neighborhood_size(150)
-                        .with_per_peer_storage(DataSize::from_gigabytes(gb))
-                        .with_warmup_days(1),
-                )
-            })
-            .collect();
-        let swept = run_sweep(&trace, &jobs);
-        assert_eq!(swept.len(), 3);
-        for ((label, result), (expected_label, config)) in swept.iter().zip(&jobs) {
-            assert_eq!(label, expected_label);
-            let direct = run(&trace, config).expect("runs");
-            assert_eq!(result.as_ref().expect("runs"), &direct, "label {label}");
-        }
-    }
-
-    #[test]
-    fn empty_sweep_is_fine() {
-        let trace = generate(&SynthConfig {
-            users: 50,
-            programs: 10,
-            days: 2,
-            ..SynthConfig::smoke_test()
-        });
-        let jobs: Vec<((), SimConfig)> = Vec::new();
-        assert!(run_sweep(&trace, &jobs).is_empty());
-    }
 
     #[test]
     fn run_indexed_visits_every_index_in_order() {

@@ -4,9 +4,11 @@
 //! A [`Scenario`] is data — a trace source ([`SourceSpec`]), a base
 //! [`SimConfig`], two sweep axes ([`AxisPoint`]s for figure *series* and
 //! *points*, each able to patch the config, switch the strategy, or even
-//! swap the trace source), and a [`ThreadPolicy`]. One executor
-//! ([`Scenario::execute`]) turns any such description into labelled
-//! [`RunOutcome`]s, which is how the paper's experiment harnesses in
+//! swap the trace source), and a [`ThreadPolicy`]. One grid executor
+//! ([`Scenario::execute_resilient`], folded into plain results by
+//! [`Scenario::execute`] / [`Scenario::execute_on`]) turns any such
+//! description into labelled [`RunOutcome`]s, which is how the paper's
+//! experiment harnesses in
 //! `cablevod::experiments` collapse into data plus one runner, and how
 //! the `cablevod-scenario` binary runs an experiment from a spec file
 //! end-to-end.
@@ -142,13 +144,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{AdmissionMode, RetryPolicy, SimConfig};
 use crate::error::SimError;
-use crate::runner::{default_threads, run_indexed};
-use crate::simulation::{RunOutcome, Simulation, ThreadPolicy};
+use crate::simulation::{RunOutcome, ThreadPolicy};
 
 pub use checkpoint::{
     report_from_json_str, report_to_json_string, CellKey, CellRecord, CheckpointJournal,
     JournalHeader,
 };
+use resilient::{CellLog, Failure, Workload};
 pub use resilient::{CellOutcome, CellResult, GridOutcome, JobRetry, ResilienceOptions};
 
 /// A serializable description of a whole experiment (see module docs).
@@ -343,7 +345,8 @@ impl ConfigPatch {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SourceSpec {
     /// The caller supplies the source at execution time
-    /// ([`Scenario::execute_on`]); [`Scenario::execute`] rejects it.
+    /// ([`Scenario::execute_on`]); [`Scenario::execute`] and
+    /// [`Scenario::execute_resilient`] reject it when a job needs it.
     Provided,
     /// An in-memory synthetic workload.
     Synth(SynthConfig),
@@ -573,6 +576,7 @@ impl ScenarioOutcome {
 
 /// One resolved job of the cross product, tagged with its stable cell
 /// identity (see the module docs' cell-identity contract).
+#[derive(Clone)]
 pub(crate) struct Job {
     pub(crate) cell: CellKey,
     pub(crate) series: String,
@@ -580,6 +584,7 @@ pub(crate) struct Job {
     pub(crate) config: SimConfig,
     pub(crate) factory: Arc<dyn StrategyFactory>,
     pub(crate) source: Option<SourceSpec>,
+    pub(crate) threads: ThreadPolicy,
 }
 
 impl Scenario {
@@ -632,56 +637,69 @@ impl Scenario {
         self
     }
 
-    /// Executes the scenario's own source with the built-in registry.
+    /// Executes the scenario's own source with the built-in registry:
+    /// the [`Scenario::execute_resilient`] grid with default options, folded
+    /// into plain results in point-major order.
     ///
     /// # Errors
     ///
-    /// Fails for a [`SourceSpec::Provided`] scenario source when any job
-    /// actually needs it (a scenario whose every point carries its own
-    /// source runs fine), and propagates job failures (the first failing
-    /// job's error, jobs before it completing normally).
+    /// Fails before running anything for a [`SourceSpec::Provided`]
+    /// scenario source that some job actually needs (a scenario whose
+    /// every point carries its own source runs fine). Otherwise returns
+    /// the first failing cell's error in grid order; a failure stops
+    /// scheduling the cells after it, and a panicking cell resumes its
+    /// panic in the caller.
     pub fn execute(&self) -> Result<Vec<ScenarioOutcome>, SimError> {
-        self.execute_with(&StrategyRegistry::builtin())
+        let jobs = self.resolved_jobs(&StrategyRegistry::builtin())?;
+        let shared = self.shared_workload(&jobs, &Default::default())?;
+        self.execute_default(&jobs, &Workload::Owned(shared))
     }
 
-    /// [`Scenario::execute`] with an explicit strategy registry.
+    /// [`Scenario::execute`] against a caller-provided resident trace
+    /// (ignoring the scenario's own [`SourceSpec`]).
     ///
     /// # Errors
     ///
-    /// As for [`Scenario::execute`].
-    pub fn execute_with(
-        &self,
-        registry: &StrategyRegistry,
-    ) -> Result<Vec<ScenarioOutcome>, SimError> {
-        if matches!(self.source, SourceSpec::Provided) {
-            // Legal as long as every job brings its own source.
-            return self.execute_inner(None, registry);
-        }
-        let owned = self.source.materialize(None)?;
-        self.execute_inner(Some((owned.source(), owned.resident())), registry)
-    }
-
-    /// Executes against a caller-provided resident trace (ignoring the
-    /// scenario's own [`SourceSpec`]) with the built-in registry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates job failures.
+    /// As for [`Scenario::execute`], minus the `provided`-source check.
     pub fn execute_on(&self, trace: &Trace) -> Result<Vec<ScenarioOutcome>, SimError> {
-        self.execute_on_with(trace, &StrategyRegistry::builtin())
+        let jobs = self.resolved_jobs(&StrategyRegistry::builtin())?;
+        self.execute_default(&jobs, &Workload::Borrowed(trace))
     }
 
-    /// [`Scenario::execute_on`] with an explicit strategy registry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates job failures.
-    pub fn execute_on_with(
+    /// Runs the grid with default options and folds it: outcomes in job
+    /// order, or the first failed cell's typed error (a panic resumes).
+    fn execute_default(
         &self,
-        trace: &Trace,
-        registry: &StrategyRegistry,
+        jobs: &[Job],
+        workload: &Workload<'_>,
     ) -> Result<Vec<ScenarioOutcome>, SimError> {
-        self.execute_inner(Some((trace, Some(trace))), registry)
+        let cells = self.run_grid(
+            jobs,
+            workload,
+            &ResilienceOptions::default(),
+            &CellLog::default(),
+            &|_| {},
+        );
+        let mut outcomes = Vec::with_capacity(cells.len());
+        for (cell, failure) in cells {
+            // Only failed cells carry a failure, and a skipped cell always
+            // comes after a failed one, so the first failure returns first.
+            if let Some(failure) = failure {
+                return Err(match failure {
+                    Failure::Sim(e) => e,
+                    Failure::Panic(payload) => std::panic::resume_unwind(payload),
+                    lost @ Failure::Lost(_) => config_err(lost.to_string()),
+                });
+            }
+            if let CellResult::Completed { outcome, .. } = cell.result {
+                outcomes.push(ScenarioOutcome {
+                    series: cell.series,
+                    point: cell.point,
+                    outcome: *outcome,
+                });
+            }
+        }
+        Ok(outcomes)
     }
 
     /// Resolves the point-major cross product into concrete jobs — the
@@ -726,6 +744,7 @@ impl Scenario {
                     config,
                     factory,
                     source: point.source.clone().or_else(|| entry.source.clone()),
+                    threads: self.threads,
                 });
             }
         }
@@ -749,73 +768,6 @@ impl Scenario {
             .to_spec_string()
             .unwrap_or_else(|_| format!("{self:?}"));
         cablevod_trace::checksum::crc32(text.as_bytes())
-    }
-
-    fn execute_inner(
-        &self,
-        shared: Option<(&dyn TraceSource, Option<&Trace>)>,
-        registry: &StrategyRegistry,
-    ) -> Result<Vec<ScenarioOutcome>, SimError> {
-        let jobs = self.resolved_jobs(registry)?;
-
-        let run_job = |job: &Job| -> Result<RunOutcome, SimError> {
-            let sim = |source: &dyn TraceSource| {
-                Simulation::over(source)
-                    .config(job.config.clone())
-                    .strategy_factory(job.factory.clone())
-                    .thread_policy(self.threads)
-                    .run()
-            };
-            match &job.source {
-                None => {
-                    let (source, _) = shared.ok_or_else(|| SimError::Config {
-                        reason: "a `provided` source has no workload of its own: \
-                                 run it through Scenario::execute_on, or give every \
-                                 axis point its own source"
-                            .into(),
-                    })?;
-                    sim(source)
-                }
-                // Materialized inside the job, dropped before it returns:
-                // a sweep holds at most one override source per worker.
-                Some(spec) => sim(spec
-                    .materialize(shared.and_then(|(_, base)| base))?
-                    .source()),
-            }
-        };
-
-        // Every cell — serial or sharded engine — is an independent job
-        // on the shared pool. A sharded cell's own workers draw from the
-        // same process-wide ledger as the sweep (see [`crate::runner`]),
-        // so small cells pack around a big sharded job instead of the
-        // sweep serializing behind it.
-        let width = self
-            .sweep_width
-            .unwrap_or_else(default_threads)
-            .clamp(1, jobs.len().max(1));
-        let results: Vec<Result<RunOutcome, SimError>> =
-            run_indexed(jobs.len(), width, |i| run_job(&jobs[i]));
-        let concurrent_shared = width > 1;
-
-        jobs.into_iter()
-            .zip(results)
-            .map(|(job, result)| {
-                let mut outcome = result?;
-                // Decode counters live on the source; concurrent jobs over
-                // the one shared source would each see the others' decode
-                // work in their before/after delta, so per-job attribution
-                // only exists when a job owns its source or ran alone —
-                // report zero (not a wrong number) otherwise.
-                if concurrent_shared && job.source.is_none() {
-                    outcome.telemetry.decode = Default::default();
-                }
-                Ok(ScenarioOutcome {
-                    series: job.series,
-                    point: job.point,
-                    outcome,
-                })
-            })
-            .collect()
     }
 }
 
@@ -1581,6 +1533,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulation;
     use cablevod_trace::synth::generate;
 
     fn smoke_synth() -> SynthConfig {
@@ -1600,7 +1553,78 @@ mod tests {
     }
 
     #[test]
-    fn execute_produces_the_cross_product_in_order() {
+    fn execute_matches_direct_runs_bit_for_bit() {
+        let trace = generate(&smoke_synth());
+        let scenario = Scenario::provided("direct", base_config()).with_points(vec![
+            AxisPoint::new("lru").with_strategy(StrategySpec::Lru),
+            AxisPoint::new("oracle").with_strategy(StrategySpec::default_oracle()),
+        ]);
+        let outcomes = scenario.execute_on(&trace).expect("runs");
+        for o in &outcomes {
+            let spec = match o.point.as_str() {
+                "lru" => StrategySpec::Lru,
+                _ => StrategySpec::default_oracle(),
+            };
+            let direct = Simulation::over(&trace)
+                .config(base_config().with_strategy(spec))
+                .run()
+                .expect("runs");
+            assert_eq!(o.report(), &direct.report, "point {}", o.point);
+        }
+    }
+
+    #[test]
+    fn scaled_points_materialize_inside_their_jobs() {
+        let trace = generate(&smoke_synth());
+        let scenario = Scenario::provided("scaling", base_config()).with_points(vec![
+            AxisPoint::new("x1").with_source(SourceSpec::Scaled {
+                population: 1,
+                catalog: 1,
+                seed: 7,
+            }),
+            AxisPoint::new("x2").with_source(SourceSpec::Scaled {
+                population: 2,
+                catalog: 1,
+                seed: 7,
+            }),
+        ]);
+        let outcomes = scenario.execute_on(&trace).expect("runs");
+        assert_eq!(outcomes.len(), 2);
+        assert!(
+            outcomes[1].report().sessions > outcomes[0].report().sessions,
+            "doubling the population must add sessions"
+        );
+        let scaled = scale::scale(&trace, 2, 1, 7).expect("scales");
+        let direct = Simulation::over(&scaled)
+            .config(base_config())
+            .run()
+            .expect("runs");
+        assert_eq!(outcomes[1].report(), &direct.report);
+    }
+
+    /// A strategy whose factory panics, to poison a cell.
+    #[derive(Debug)]
+    struct BoomFactory;
+
+    impl StrategyFactory for BoomFactory {
+        fn name(&self) -> &str {
+            "Boom"
+        }
+        fn build(
+            &self,
+            _: cablevod_cache::StrategyContext,
+        ) -> Result<Box<dyn cablevod_cache::CacheStrategy>, cablevod_cache::CacheError> {
+            panic!("boom: poisoned cell");
+        }
+    }
+
+    /// The plain executors' contract over the shared grid loop: outcomes
+    /// come back in point-major order, a `provided` source fails up front
+    /// with `SimError::Config`, the first failing cell in grid order
+    /// returns its typed error, and a panicking cell's panic reaches the
+    /// caller.
+    #[test]
+    fn plain_executors_fold_the_grid() {
         let scenario = Scenario::new("grid", SourceSpec::Synth(smoke_synth()), base_config())
             .with_series(vec![
                 AxisPoint::new("LRU").with_strategy(StrategySpec::Lru),
@@ -1631,60 +1655,48 @@ mod tests {
         // Jobs are real, distinct simulations of the same workload.
         assert!(outcomes.iter().all(|o| o.report().sessions > 0));
         assert_eq!(outcomes[0].report().sessions, outcomes[3].report().sessions);
-    }
 
-    #[test]
-    fn execute_matches_direct_runs_bit_for_bit() {
-        let trace = generate(&smoke_synth());
-        let scenario = Scenario::provided("direct", base_config()).with_points(vec![
-            AxisPoint::new("lru").with_strategy(StrategySpec::Lru),
-            AxisPoint::new("oracle").with_strategy(StrategySpec::default_oracle()),
-        ]);
-        let outcomes = scenario.execute_on(&trace).expect("runs");
-        for o in &outcomes {
-            let spec = match o.point.as_str() {
-                "lru" => StrategySpec::Lru,
-                _ => StrategySpec::default_oracle(),
-            };
-            let direct =
-                crate::engine::run(&trace, &base_config().with_strategy(spec)).expect("runs");
-            assert_eq!(o.report(), &direct, "point {}", o.point);
-        }
-    }
+        let err = Scenario::provided("nope", base_config())
+            .execute()
+            .expect_err("a provided source has no workload");
+        assert!(matches!(err, SimError::Config { .. }), "{err}");
 
-    #[test]
-    fn scaled_points_materialize_inside_their_jobs() {
         let trace = generate(&smoke_synth());
-        let scenario = Scenario::provided("scaling", base_config()).with_points(vec![
-            AxisPoint::new("x1").with_source(SourceSpec::Scaled {
-                population: 1,
-                catalog: 1,
-                seed: 7,
+        let missing = |ext: &str| {
+            std::env::temp_dir()
+                .join(format!("cvsc_missing_{}.{ext}", std::process::id()))
+                .display()
+                .to_string()
+        };
+        let failing = Scenario::provided("fails", base_config()).with_points(vec![
+            AxisPoint::new("ok"),
+            AxisPoint::new("no-cvtc").with_source(SourceSpec::Columnar {
+                path: missing("cvtc"),
+                rechunk: Vec::new(),
             }),
-            AxisPoint::new("x2").with_source(SourceSpec::Scaled {
-                population: 2,
-                catalog: 1,
-                seed: 7,
+            AxisPoint::new("no-csv").with_source(SourceSpec::Csv {
+                records: missing("csv"),
+                catalog: missing("csv"),
             }),
         ]);
-        let outcomes = scenario.execute_on(&trace).expect("runs");
-        assert_eq!(outcomes.len(), 2);
+        let err = failing
+            .execute_on(&trace)
+            .expect_err("a cell without its file fails");
         assert!(
-            outcomes[1].report().sessions > outcomes[0].report().sessions,
-            "doubling the population must add sessions"
+            matches!(err, SimError::Trace(_)),
+            "the first failing cell (a missing columnar file) must win: {err}"
         );
-        let direct = crate::engine::run(
-            &scale::scale(&trace, 2, 1, 7).expect("scales"),
-            &base_config(),
-        )
-        .expect("runs");
-        assert_eq!(outcomes[1].report(), &direct);
-    }
 
-    #[test]
-    fn provided_sources_cannot_self_materialize() {
-        let scenario = Scenario::provided("nope", base_config());
-        assert!(scenario.execute().is_err());
+        let mut registry = StrategyRegistry::builtin();
+        registry.register("boom", Arc::new(BoomFactory));
+        let poisoned = Scenario::provided("poisoned", base_config())
+            .with_series(vec![AxisPoint::new("Boom").with_strategy_named("boom")]);
+        let jobs = poisoned.resolved_jobs(&registry).expect("resolves");
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            poisoned.execute_default(&jobs, &Workload::Borrowed(&trace))
+        }))
+        .expect_err("the cell's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom: poisoned cell"));
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! The crash-tolerant scenario executor: per-cell panic isolation,
-//! bounded retry with exponential backoff, straggler timeouts, and
-//! checkpoint/resume through [`checkpoint`](super::checkpoint).
+//! The scenario grid executor: per-cell panic isolation, bounded retry
+//! with exponential backoff, straggler timeouts, and checkpoint/resume
+//! through [`checkpoint`](super::checkpoint).
 //!
-//! [`Scenario::execute_resilient`] runs the same point-major grid as
-//! [`Scenario::execute`], with the same scheduling shape (cells fan out
-//! over up to `sweep_width` workers of the shared pool, sharded-engine
-//! cells included) — but every cell is a bulkhead:
+//! There is one grid loop and one cell body, and every executor runs
+//! through them. [`Scenario::execute_resilient`] exposes all the knobs;
+//! [`Scenario::execute`] and [`Scenario::execute_on`] run the same loop
+//! with default [`ResilienceOptions`] and the built-in strategy registry,
+//! then fold the cells into plain results. Cells fan out over up to
+//! `sweep_width` workers of the shared pool, sharded-engine cells
+//! included, and every cell is a bulkhead:
 //!
 //! * the cell body runs under `catch_unwind`, so a panicking strategy
 //!   factory (or any other job-level panic) fails that one cell instead
@@ -20,29 +23,33 @@
 //! * a completed cell is journaled *before* it is reported, so a crash
 //!   after the journal append never re-runs that cell.
 //!
-//! Failure handling is all-or-each: by default the first exhausted cell
-//! stops the grid (cells already in flight finish and are journaled;
-//! unscheduled cells report [`CellResult::Skipped`]); with
+//! Failure handling is all-or-each: by default an exhausted cell stops
+//! the grid behind it (cells already in flight finish and are journaled;
+//! cells later in grid order that have not started report
+//! [`CellResult::Skipped`], while earlier ones still run, so the
+//! lowest-index failure is always observed); with
 //! `keep_going` every cell gets its chance and the failures are
 //! collected side by side with the completed results in the returned
 //! [`GridOutcome`].
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use cablevod_cache::{StrategyFactory, StrategyRegistry};
+use cablevod_cache::StrategyRegistry;
+use cablevod_trace::record::Trace;
 use cablevod_trace::source::TraceSource;
 
 use super::checkpoint::{CellKey, CellRecord, CheckpointJournal, JournalHeader};
 use super::{config_err, Job, OwnedSource, Scenario, SourceSpec};
-use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::runner::{default_threads, run_indexed};
-use crate::simulation::{RunOutcome, RunTelemetry, Simulation, ThreadPolicy};
+use crate::simulation::{RunOutcome, RunTelemetry, Simulation};
 
 /// Bounded exponential backoff for failed *jobs* — the executor-level
 /// mirror of the plant-level
@@ -183,15 +190,54 @@ impl GridOutcome {
     }
 }
 
-/// Everything one attempt owns — `'static`, so a timed-out attempt can
-/// be abandoned on its watchdog thread without dangling borrows.
-struct JobParts {
-    cell: CellKey,
-    config: SimConfig,
-    factory: Arc<dyn StrategyFactory>,
-    source: Option<SourceSpec>,
-    shared: Option<Arc<OwnedSource>>,
-    threads: ThreadPolicy,
+/// The workload that cells without their own source run over.
+pub(crate) enum Workload<'w> {
+    /// The scenario's own materialized source (`None` when no live cell
+    /// needs it). Owned, so a timed-out attempt's watchdog thread can
+    /// hold it past the grid.
+    Owned(Option<Arc<OwnedSource>>),
+    /// A caller's resident trace ([`Scenario::execute_on`]). Borrowed,
+    /// so it never rides a watchdog thread; only
+    /// [`Scenario::execute_resilient`] sets a timeout.
+    Borrowed(&'w Trace),
+}
+
+/// Why a cell's last attempt failed, kept typed until the executor
+/// decides how to report it: [`Scenario::execute_resilient`] prints it
+/// into [`CellResult::Failed`], while [`Scenario::execute`] returns the
+/// error or resumes the panic.
+pub(crate) enum Failure {
+    /// The simulation (or the journal append) returned an error.
+    Sim(SimError),
+    /// The cell panicked; the payload is kept for `resume_unwind`.
+    Panic(Box<dyn Any + Send>),
+    /// The attempt timed out or its watchdog thread was lost.
+    Lost(String),
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Sim(e) => e.fmt(f),
+            Failure::Panic(payload) => match payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            {
+                Some(text) => write!(f, "job panicked: {text}"),
+                None => f.write_str("job panicked"),
+            },
+            Failure::Lost(reason) => f.write_str(reason),
+        }
+    }
+}
+
+/// Journaled cells to replay and the journal to append new ones to —
+/// both empty for the plain executors.
+#[derive(Default)]
+pub(crate) struct CellLog {
+    replay: BTreeMap<CellKey, CellRecord>,
+    journal: Option<Mutex<CheckpointJournal>>,
 }
 
 impl Scenario {
@@ -228,7 +274,6 @@ impl Scenario {
             fingerprint: self.fingerprint(),
             cells: jobs.len() as u32,
         };
-
         let mut replay: BTreeMap<CellKey, CellRecord> = BTreeMap::new();
         let journal = match &options.checkpoint {
             None => None,
@@ -274,53 +319,78 @@ impl Scenario {
             }
             Some(path) => Some(CheckpointJournal::create(path, header)?),
         };
+        let log = CellLog {
+            replay,
+            journal: journal.map(Mutex::new),
+        };
+        let workload = Workload::Owned(self.shared_workload(&jobs, &log.replay)?);
+        let cells = self.run_grid(&jobs, &workload, options, &log, progress);
+        Ok(GridOutcome {
+            cells: cells.into_iter().map(|(cell, _)| cell).collect(),
+        })
+    }
 
-        // The shared workload is materialized only when a live (non-
-        // replayed) cell needs it — either as its workload outright, or
-        // as the resident base of a `scaled` override — so a fully
-        // journaled resume rebuilds nothing at all.
+    /// Materializes the scenario's own source, but only when a live
+    /// (non-replayed) cell needs it — either as its workload outright,
+    /// or as the resident base of a `scaled` override — so a fully
+    /// journaled resume rebuilds nothing at all.
+    pub(crate) fn shared_workload(
+        &self,
+        jobs: &[Job],
+        replay: &BTreeMap<CellKey, CellRecord>,
+    ) -> Result<Option<Arc<OwnedSource>>, SimError> {
         let needs_shared = jobs.iter().any(|job| {
             !replay.contains_key(&job.cell)
                 && (job.source.is_none() || matches!(job.source, Some(SourceSpec::Scaled { .. })))
         });
-        let shared: Option<Arc<OwnedSource>> = if needs_shared {
-            if matches!(self.source, SourceSpec::Provided) {
-                return Err(config_err(
-                    "a `provided` source has no workload of its own: \
-                     run it through Scenario::execute_on, or give every \
-                     axis point its own source"
-                        .into(),
-                ));
-            }
-            Some(Arc::new(self.source.materialize(None)?))
-        } else {
-            None
-        };
+        if !needs_shared {
+            return Ok(None);
+        }
+        if matches!(self.source, SourceSpec::Provided) {
+            return Err(config_err(
+                "a `provided` source has no workload of its own: \
+                 run it through Scenario::execute_on, or give every \
+                 axis point its own source"
+                    .into(),
+            ));
+        }
+        Ok(Some(Arc::new(self.source.materialize(None)?)))
+    }
 
-        // Same scheduling shape as `Scenario::execute`: every cell —
-        // serial or sharded engine — fans out over the shared pool, with
-        // sharded cells drawing their own workers from the same
-        // process-wide ledger (see [`crate::runner`]).
+    /// The one grid loop: drives every cell to a terminal state over up
+    /// to `sweep_width` workers of the shared pool and returns the cells
+    /// in job (point-major) order, each with its last typed failure.
+    /// Every cell — serial or sharded engine — is an independent job; a
+    /// sharded cell's own workers draw from the same process-wide ledger
+    /// as the sweep, so small cells pack around a big sharded job
+    /// instead of the sweep serializing behind it.
+    pub(crate) fn run_grid(
+        &self,
+        jobs: &[Job],
+        workload: &Workload<'_>,
+        options: &ResilienceOptions,
+        log: &CellLog,
+        progress: &(dyn Fn(&CellOutcome) + Sync),
+    ) -> Vec<(CellOutcome, Option<Failure>)> {
         let width = self
             .sweep_width
             .unwrap_or_else(default_threads)
             .clamp(1, jobs.len().max(1));
-        let concurrent_shared = width > 1;
-        let journal = journal.map(Mutex::new);
-        let stop = AtomicBool::new(false);
-
-        let run_cell = |i: usize| -> CellOutcome {
+        // The lowest failed job index so far (`usize::MAX`: none).
+        let stop = AtomicUsize::new(usize::MAX);
+        run_indexed(jobs.len(), width, |i| {
             let job = &jobs[i];
-            let result = run_one_cell(
-                job,
-                &replay,
-                shared.clone(),
-                self.threads,
-                options,
-                &journal,
-                &stop,
-                concurrent_shared,
-            );
+            let (mut result, failure) = run_cell(i, job, workload, options, log, &stop);
+            // Decode counters live on the source; concurrent jobs over the
+            // one shared source would each see the others' decode work in
+            // their before/after delta, so per-job attribution only exists
+            // when a job owns its source or ran alone — report zero, not
+            // a wrong value.
+            if let CellResult::Completed { outcome, .. } = &mut result {
+                if width > 1 && job.source.is_none() {
+                    outcome.telemetry.decode = Default::default();
+                }
+            }
             let outcome = CellOutcome {
                 key: job.cell,
                 series: job.series.clone(),
@@ -328,14 +398,8 @@ impl Scenario {
                 result,
             };
             progress(&outcome);
-            outcome
-        };
-        let cells = if concurrent_shared {
-            run_indexed(jobs.len(), width, run_cell)
-        } else {
-            (0..jobs.len()).map(run_cell).collect()
-        };
-        Ok(GridOutcome { cells })
+            (outcome, failure)
+        })
     }
 }
 
@@ -355,51 +419,45 @@ fn replay_outcome(record: &CellRecord) -> Box<RunOutcome> {
     })
 }
 
-/// Drives one cell to a terminal state (replay, attempts loop, journal
-/// append) — the bulkhead around one grid job.
-#[allow(clippy::too_many_arguments)]
-fn run_one_cell(
+/// The cell body: drives one cell to a terminal state (replay, attempts
+/// loop, journal append) — the bulkhead around one grid job.
+fn run_cell(
+    index: usize,
     job: &Job,
-    replay: &BTreeMap<CellKey, CellRecord>,
-    shared: Option<Arc<OwnedSource>>,
-    threads: ThreadPolicy,
+    workload: &Workload<'_>,
     options: &ResilienceOptions,
-    journal: &Option<Mutex<CheckpointJournal>>,
-    stop: &AtomicBool,
-    concurrent_shared: bool,
-) -> CellResult {
+    log: &CellLog,
+    stop: &AtomicUsize,
+) -> (CellResult, Option<Failure>) {
     // Replay wins over the stop flag: journaled cells stay completed
     // even in a run that fails elsewhere, keeping resume monotone.
-    if let Some(record) = replay.get(&job.cell) {
-        return CellResult::Completed {
+    if let Some(record) = log.replay.get(&job.cell) {
+        let result = CellResult::Completed {
             outcome: replay_outcome(record),
             replayed: true,
             attempts: 0,
         };
+        return (result, None);
     }
-    if stop.load(Ordering::SeqCst) {
-        return CellResult::Skipped;
+    if stop.load(Ordering::SeqCst) < index {
+        return (CellResult::Skipped, None);
     }
+    let fail = |failure: Failure, attempts: u32| {
+        if !options.keep_going {
+            stop.fetch_min(index, Ordering::SeqCst);
+        }
+        let result = CellResult::Failed {
+            error: failure.to_string(),
+            attempts,
+        };
+        (result, Some(failure))
+    };
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        let parts = JobParts {
-            cell: job.cell,
-            config: job.config.clone(),
-            factory: job.factory.clone(),
-            source: job.source.clone(),
-            shared: shared.clone(),
-            threads,
-        };
-        match run_attempt(parts, options.timeout) {
-            Ok(mut outcome) => {
-                // Same attribution rule as the plain executor: decode
-                // deltas over a source shared by concurrent jobs are not
-                // per-job numbers — report zero, not a wrong value.
-                if concurrent_shared && job.source.is_none() {
-                    outcome.telemetry.decode = Default::default();
-                }
-                if let Some(journal) = journal {
+        match run_attempt(job, workload, options.timeout) {
+            Ok(outcome) => {
+                if let Some(journal) = &log.journal {
                     let record = CellRecord {
                         key: job.cell,
                         series: job.series.clone(),
@@ -408,33 +466,27 @@ fn run_one_cell(
                         threads: outcome.telemetry.threads as u64,
                         report: outcome.report.clone(),
                     };
-                    let mut guard = journal.lock().unwrap_or_else(PoisonError::into_inner);
-                    if let Err(e) = guard.append(record) {
+                    let appended = journal
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .append(record);
+                    if let Err(e) = appended {
                         // A result that cannot reach the journal fails
                         // the cell: dropping checkpoint durability
                         // silently would void the crash-safety contract.
-                        drop(guard);
-                        if !options.keep_going {
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        return CellResult::Failed {
-                            error: e.to_string(),
-                            attempts,
-                        };
+                        return fail(Failure::Sim(e), attempts);
                     }
                 }
-                return CellResult::Completed {
+                let result = CellResult::Completed {
                     outcome: Box::new(outcome),
                     replayed: false,
                     attempts,
                 };
+                return (result, None);
             }
-            Err(error) => {
+            Err(failure) => {
                 if attempts > u32::from(options.retry.max_retries()) {
-                    if !options.keep_going {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    return CellResult::Failed { error, attempts };
+                    return fail(failure, attempts);
                 }
                 std::thread::sleep(options.retry.backoff(attempts - 1));
             }
@@ -443,19 +495,27 @@ fn run_one_cell(
 }
 
 /// One attempt: inline under `catch_unwind` without a timeout, on an
-/// abandonable watchdog thread with one.
-fn run_attempt(parts: JobParts, timeout: Option<Duration>) -> Result<RunOutcome, String> {
-    let Some(limit) = timeout else {
-        return catch_run(parts);
+/// abandonable watchdog thread with one. The watchdog's parts are owned
+/// clones (the job and the `Arc`'d workload), so abandoning it leaves no
+/// dangling borrow.
+fn run_attempt(
+    job: &Job,
+    workload: &Workload<'_>,
+    timeout: Option<Duration>,
+) -> Result<RunOutcome, Failure> {
+    let (Some(limit), Workload::Owned(shared)) = (timeout, workload) else {
+        return catch_run(job, workload);
     };
     let (tx, rx) = mpsc::channel();
-    let name = format!("cell-{}x{}", parts.cell.point, parts.cell.series);
+    let name = format!("cell-{}x{}", job.cell.point, job.cell.series);
+    let owned = (job.clone(), Workload::Owned(shared.clone()));
     let handle = std::thread::Builder::new()
         .name(name)
         .spawn(move || {
-            let _ = tx.send(catch_run(parts));
+            let (job, workload) = owned;
+            let _ = tx.send(catch_run(&job, &workload));
         })
-        .map_err(|e| format!("cannot spawn cell worker: {e}"))?;
+        .map_err(|e| Failure::Lost(format!("cannot spawn cell worker: {e}")))?;
     match rx.recv_timeout(limit) {
         Ok(result) => {
             let _ = handle.join();
@@ -463,59 +523,51 @@ fn run_attempt(parts: JobParts, timeout: Option<Duration>) -> Result<RunOutcome,
         }
         // The straggler keeps its owned clones alive; we just stop
         // waiting for it.
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(format!(
+        Err(mpsc::RecvTimeoutError::Timeout) => Err(Failure::Lost(format!(
             "cell timed out after {:.1}s (straggler abandoned)",
             limit.as_secs_f64()
-        )),
+        ))),
         Err(mpsc::RecvTimeoutError::Disconnected) => {
-            Err("cell worker exited without a result".into())
+            Err(Failure::Lost("cell worker exited without a result".into()))
         }
     }
 }
 
-/// Runs the attempt body, converting panics and errors to strings — the
-/// bulkhead wall itself.
-fn catch_run(parts: JobParts) -> Result<RunOutcome, String> {
-    match catch_unwind(AssertUnwindSafe(|| execute_parts(&parts))) {
-        Ok(result) => result.map_err(|e| e.to_string()),
-        // `&*payload` derefs the box before unsizing: coercing
-        // `&Box<dyn Any>` directly would downcast against the Box, not
-        // the payload inside it.
-        Err(payload) => Err(panic_message(&*payload)),
+/// Runs the attempt body, keeping errors and panics typed — the bulkhead
+/// wall itself.
+fn catch_run(job: &Job, workload: &Workload<'_>) -> Result<RunOutcome, Failure> {
+    match catch_unwind(AssertUnwindSafe(|| job.run(workload))) {
+        Ok(result) => result.map_err(Failure::Sim),
+        Err(payload) => Err(Failure::Panic(payload)),
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(text) = payload.downcast_ref::<&str>() {
-        format!("job panicked: {text}")
-    } else if let Some(text) = payload.downcast_ref::<String>() {
-        format!("job panicked: {text}")
-    } else {
-        "job panicked".into()
-    }
-}
-
-/// The attempt body — the same simulation construction as the plain
-/// executor's `run_job`, over owned parts.
-fn execute_parts(parts: &JobParts) -> Result<RunOutcome, SimError> {
-    let sim = |source: &dyn TraceSource| {
-        Simulation::over(source)
-            .config(parts.config.clone())
-            .strategy_factory(parts.factory.clone())
-            .thread_policy(parts.threads)
-            .run()
-    };
-    match &parts.source {
-        None => {
-            let shared = parts.shared.as_deref().ok_or_else(|| SimError::Config {
-                reason: "a cell without its own source needs the scenario workload".into(),
-            })?;
-            sim(shared.source())
+impl Job {
+    /// Runs this job over its own source or the grid's workload — the
+    /// one place a cell's [`Simulation`] is built.
+    fn run(&self, workload: &Workload<'_>) -> Result<RunOutcome, SimError> {
+        let sim = |source: &dyn TraceSource| {
+            Simulation::over(source)
+                .config(self.config.clone())
+                .strategy_factory(self.factory.clone())
+                .thread_policy(self.threads)
+                .run()
+        };
+        let (shared, resident): (Option<&dyn TraceSource>, _) = match workload {
+            Workload::Owned(owned) => (
+                owned.as_deref().map(OwnedSource::source),
+                owned.as_deref().and_then(OwnedSource::resident),
+            ),
+            Workload::Borrowed(trace) => (Some(*trace), Some(*trace)),
+        };
+        match &self.source {
+            None => sim(shared.ok_or_else(|| {
+                config_err("a cell without its own source needs the scenario workload".into())
+            })?),
+            // Materialized inside the attempt, dropped with it — override
+            // sources never outlive their cell, so a sweep holds at most
+            // one per worker.
+            Some(spec) => sim(spec.materialize(resident)?.source()),
         }
-        // Materialized inside the attempt, dropped with it — override
-        // sources never outlive their cell.
-        Some(spec) => sim(spec
-            .materialize(parts.shared.as_deref().and_then(OwnedSource::resident))?
-            .source()),
     }
 }

@@ -21,22 +21,21 @@
 //! ```
 //!
 //! The builder is a zero-cost composition layer: it resolves the strategy
-//! factory and the thread policy, calls the same engine drivers the
-//! legacy [`run`](crate::run)/[`run_parallel`](crate::run_parallel) entry
-//! points use, and wraps the **bit-identical** [`SimReport`] together
-//! with the run telemetry ([`RunTelemetry`]: wall time, trace decode
-//! work, peak RSS) that callers previously scraped by hand.
+//! factory and the thread policy, calls the serial or sharded engine
+//! driver, and wraps the [`SimReport`] together with the run telemetry
+//! ([`RunTelemetry`]: wall time, trace decode work, peak RSS).
 //!
-//! Out-of-tree strategies enter here too: [`Simulation::register`] puts a
-//! [`StrategyFactory`] into the builder's
-//! [`StrategyRegistry`] and
-//! [`Simulation::strategy_named`] selects any registered (or built-in
-//! spec-grammar) name — no engine or cache-crate change required.
+//! The strategy comes from the config's [`StrategySpec`](cablevod_cache::StrategySpec)
+//! unless [`Simulation::strategy_factory`] supplies a factory instance.
+//! Out-of-tree strategies enter that way: resolve a name against a
+//! [`StrategyRegistry`](cablevod_cache::StrategyRegistry) (as the
+//! [`Scenario`](crate::Scenario) executors and the bins do) and hand the
+//! factory to the builder — no engine or cache-crate change required.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cablevod_cache::{StrategyFactory, StrategyRegistry, StrategySpec};
+use cablevod_cache::StrategyFactory;
 use cablevod_trace::source::{DecodeStats, TraceSource};
 
 use crate::config::SimConfig;
@@ -107,8 +106,8 @@ pub struct RunTelemetry {
 /// A [`SimReport`] bundled with its [`RunTelemetry`].
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// The measured simulation results (bit-identical to the legacy entry
-    /// points for the same inputs).
+    /// The measured simulation results (bit-identical across drivers and
+    /// thread counts for the same inputs).
     pub report: SimReport,
     /// What the run itself cost.
     pub telemetry: RunTelemetry,
@@ -121,17 +120,6 @@ impl RunOutcome {
     }
 }
 
-/// Which strategy a [`Simulation`] resolves at [`Simulation::run`].
-#[derive(Debug, Clone)]
-enum StrategyChoice {
-    /// The config's [`StrategySpec`] (the default).
-    FromConfig,
-    /// A name resolved against the builder's registry.
-    Named(String),
-    /// An explicit factory instance.
-    Factory(Arc<dyn StrategyFactory>),
-}
-
 /// The single entry-point builder over serial/parallel ×
 /// resident/streaming simulation (see the module docs).
 #[derive(Debug)]
@@ -139,21 +127,19 @@ pub struct Simulation<'a, S: TraceSource + ?Sized> {
     source: &'a S,
     config: SimConfig,
     threads: ThreadPolicy,
-    registry: StrategyRegistry,
-    strategy: StrategyChoice,
+    /// An explicit factory; `None` builds the config's strategy.
+    strategy: Option<Arc<dyn StrategyFactory>>,
 }
 
 impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
     /// Starts a simulation over `source` with the paper's default
-    /// configuration, the serial driver, and the built-in strategy
-    /// registry.
+    /// configuration and the serial driver.
     pub fn over(source: &'a S) -> Self {
         Simulation {
             source,
             config: SimConfig::paper_default(),
             threads: ThreadPolicy::Serial,
-            registry: StrategyRegistry::builtin(),
-            strategy: StrategyChoice::FromConfig,
+            strategy: None,
         }
     }
 
@@ -185,45 +171,11 @@ impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
         self
     }
 
-    /// Selects a built-in strategy spec (shorthand for rewriting the
-    /// config).
-    #[must_use]
-    pub fn strategy(mut self, spec: StrategySpec) -> Self {
-        self.config = self.config.with_strategy(spec);
-        self.strategy = StrategyChoice::FromConfig;
-        self
-    }
-
-    /// Selects the strategy by name, resolved against the builder's
-    /// registry at [`Simulation::run`] (exact registrations first, then
-    /// the [`StrategySpec::parse`] grammar, so `"lfu:3d"` needs no
-    /// registration).
-    #[must_use]
-    pub fn strategy_named(mut self, name: impl Into<String>) -> Self {
-        self.strategy = StrategyChoice::Named(name.into());
-        self
-    }
-
-    /// Selects an explicit strategy factory instance.
+    /// Selects an explicit strategy factory instance, overriding the
+    /// config's strategy spec.
     #[must_use]
     pub fn strategy_factory(mut self, factory: Arc<dyn StrategyFactory>) -> Self {
-        self.strategy = StrategyChoice::Factory(factory);
-        self
-    }
-
-    /// Registers an out-of-tree strategy factory under `name` in the
-    /// builder's registry (select it with
-    /// [`Simulation::strategy_named`]).
-    #[must_use]
-    pub fn register(mut self, name: impl Into<String>, factory: Arc<dyn StrategyFactory>) -> Self {
-        self.registry.register(name, factory);
-        self
-    }
-
-    /// Replaces the builder's whole strategy registry.
-    #[must_use]
-    pub fn registry(mut self, registry: StrategyRegistry) -> Self {
-        self.registry = registry;
+        self.strategy = Some(factory);
         self
     }
 
@@ -231,21 +183,19 @@ impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] for invalid configurations,
-    /// [`SimError::Cache`] for unresolvable strategy names, and
-    /// propagates trace-source and engine failures.
+    /// Returns [`SimError::Config`] for invalid configurations (including
+    /// traces beyond 2^32 records), and propagates trace-source failures
+    /// and broken-invariant failures from the cache and plant layers.
     pub fn run(self) -> Result<RunOutcome, SimError> {
-        let factory: Arc<dyn StrategyFactory> = match &self.strategy {
-            StrategyChoice::FromConfig => self.config.strategy().factory(),
-            StrategyChoice::Named(name) => self.registry.resolve(name)?,
-            StrategyChoice::Factory(factory) => factory.clone(),
-        };
+        let factory = self
+            .strategy
+            .unwrap_or_else(|| self.config.strategy().factory());
         let workers = self.threads.worker_count();
         let decode_before = self.source.decode_stats();
         let started = Instant::now();
         let report = match workers {
-            None => engine::run_with(self.source, &self.config, factory.as_ref())?,
-            Some(n) => engine::run_parallel_with(self.source, &self.config, factory.as_ref(), n)?,
+            None => engine::run_serial(self.source, &self.config, factory.as_ref())?,
+            Some(n) => engine::run_sharded(self.source, &self.config, factory.as_ref(), n)?,
         };
         let wall = started.elapsed();
         let fastpath = self.source.resident_records().is_none()
@@ -267,6 +217,7 @@ impl<'a, S: TraceSource + ?Sized> Simulation<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cablevod_cache::StrategySpec;
     use cablevod_hfc::units::DataSize;
     use cablevod_trace::source::ChunkedTrace;
     use cablevod_trace::synth::{generate, SynthConfig};
@@ -288,63 +239,53 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_legacy_run_on_all_four_drivers() {
+    fn all_four_drivers_agree_and_report_their_shape() {
         let trace = smoke();
         let config = config();
-        let serial = crate::engine::run(&trace, &config).expect("legacy serial");
-        let built = Simulation::over(&trace)
+        let serial = Simulation::over(&trace)
             .config(config.clone())
             .run()
-            .expect("builder serial");
-        assert_eq!(built.report, serial);
-        assert_eq!(built.telemetry.threads, 1);
-        assert_eq!(built.telemetry.strategy, "LFU");
+            .expect("serial");
+        assert_eq!(serial.telemetry.threads, 1);
+        assert_eq!(serial.telemetry.strategy, "LFU");
 
         let sharded = Simulation::over(&trace)
             .config(config.clone())
             .threads(3)
             .run()
-            .expect("builder sharded");
-        assert_eq!(sharded.report, serial);
+            .expect("sharded");
+        assert_eq!(sharded.report, serial.report);
         assert_eq!(sharded.telemetry.threads, 3);
 
         let chunked = ChunkedTrace::new(&trace, 64);
         let streamed = Simulation::over(&chunked)
             .config(config.clone())
             .run()
-            .expect("builder streaming");
-        assert_eq!(streamed.report, serial);
+            .expect("streaming");
+        assert_eq!(streamed.report, serial.report);
 
         let streamed_sharded = Simulation::over(&chunked)
             .config(config)
             .threads(2)
             .run()
-            .expect("builder streaming sharded");
-        assert_eq!(streamed_sharded.report, serial);
+            .expect("streaming sharded");
+        assert_eq!(streamed_sharded.report, serial.report);
     }
 
     #[test]
-    fn named_strategies_resolve_through_the_registry() {
+    fn explicit_factory_overrides_the_config_strategy() {
         let trace = smoke();
         let by_spec = Simulation::over(&trace)
-            .config(config())
-            .strategy(StrategySpec::Lru)
+            .config(config().with_strategy(StrategySpec::Lru))
             .run()
             .expect("spec run");
-        let by_name = Simulation::over(&trace)
+        let by_factory = Simulation::over(&trace)
             .config(config())
-            .strategy_named("lru")
+            .strategy_factory(StrategySpec::Lru.factory())
             .run()
-            .expect("named run");
-        assert_eq!(by_name.report, by_spec.report);
-        assert_eq!(by_name.telemetry.strategy, "LRU");
-
-        let err = Simulation::over(&trace)
-            .config(config())
-            .strategy_named("no-such-policy")
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, SimError::Cache(_)), "{err}");
+            .expect("factory run");
+        assert_eq!(by_factory.report, by_spec.report);
+        assert_eq!(by_factory.telemetry.strategy, "LRU");
     }
 
     #[test]

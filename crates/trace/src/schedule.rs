@@ -25,7 +25,7 @@
 //! produced for one `(segment length, replication)` configuration and
 //! carries the costs that configuration implies.
 //!
-//! # Format specification (version 1)
+//! # Format specification (version 2)
 //!
 //! All integers are **little-endian**, packed with no padding.
 //!
@@ -38,7 +38,7 @@
 //! | chunk 0 columns |
 //! | chunk 1 columns |
 //! | ...             |
-//! | chunk directory |  32 * chunk_count bytes, at header.directory_offset
+//! | chunk directory |  36 * chunk_count bytes, at header.directory_offset
 //! +-----------------+
 //! ```
 //!
@@ -47,7 +47,7 @@
 //! | offset | size | field              | notes                                  |
 //! |-------:|-----:|--------------------|----------------------------------------|
 //! |      0 |    4 | magic              | `b"CVSC"`                              |
-//! |      4 |    4 | version            | `u32` = 1                              |
+//! |      4 |    4 | version            | `u32` = 2                              |
 //! |      8 |    4 | neighborhood_count | `u32`, dense ids `0..count`            |
 //! |     12 |    4 | chunk_size         | `u32` events per chunk (chunks may be short) |
 //! |     16 |    8 | event_count        | `u64` total events                     |
@@ -700,6 +700,30 @@ mod tests {
             }
             assert_eq!(&events, expected_events, "neighborhood {n}");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Pins the documented layout: a finished sidecar is exactly header +
+    /// cost table + 12 bytes per event + one 36-byte directory entry per
+    /// chunk, and carries [`VERSION`] at bytes 4..8.
+    #[test]
+    fn finished_sidecar_matches_the_documented_layout() {
+        let path = tmp_path("layout");
+        let costs = [1u32, 2, 3, 4, 5];
+        let mut w = ScheduleSidecarWriter::create(&path, 2, &costs, 4).expect("create");
+        for i in 0..11u64 {
+            w.push((i % 2) as u32, t(i), p((i % 5) as u32))
+                .expect("push");
+        }
+        w.finish().expect("finish");
+        let r = ScheduleSidecarReader::open(&path).expect("open");
+        let (programs, events, chunks) = (costs.len(), r.event_count(), r.directory().len());
+        let bytes = std::fs::read(&path).expect("read back");
+        assert_eq!(
+            bytes.len() as u64,
+            40 + 4 * programs as u64 + 12 * events + 36 * chunks as u64
+        );
+        assert_eq!(&bytes[4..8], &VERSION.to_le_bytes());
         std::fs::remove_file(&path).ok();
     }
 

@@ -234,7 +234,7 @@ impl TraceSource for Trace {
 /// configurable chunk size and **no** resident shortcut.
 ///
 /// This exists to drive the engines' streaming paths deterministically
-/// from tests and benches: `run(&ChunkedTrace::new(&trace, k), cfg)`
+/// from tests and benches: `Simulation::over(&ChunkedTrace::new(&trace, k))`
 /// exercises exactly the code that replays an on-disk file, against a
 /// workload whose in-memory result is known.
 ///

@@ -139,8 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("oracle", StrategySpec::default_oracle()),
     ] {
         let outcome = Simulation::over(&reader)
-            .config(config.clone())
-            .strategy(spec)
+            .config(config.clone().with_strategy(spec))
             .run()?;
         println!(
             "  {label:>6}: {}; hit rate {:.1}%",

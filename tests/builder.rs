@@ -1,146 +1,23 @@
-//! Front-door equivalence and extension properties: the [`Simulation`]
-//! builder must be a zero-behavior-change facade (bit-identical to the
-//! legacy `run` / `run_parallel` / `run_sweep` entry points across all
-//! five strategies × serial/sharded × resident/streaming), [`Scenario`]
-//! specs must round-trip through the spec-file format, and an
-//! out-of-tree strategy registered through the [`StrategyFactory`]
-//! interface must run end-to-end without touching the cache crate's
-//! [`StrategySpec`] enum.
+//! Front-door extension properties: [`Scenario`] specs must round-trip
+//! through the spec-file format, and an out-of-tree strategy handed to
+//! [`Simulation`] through the [`StrategyFactory`] interface (or named in
+//! a scenario through a [`StrategyRegistry`]) must run end-to-end without
+//! touching the cache crate's [`StrategySpec`] enum. Driver agreement
+//! (serial/sharded × resident/streaming) is pinned in `tests/streaming.rs`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-use proptest::prelude::*;
 
 use cablevod_cache::{
     CacheError, CacheOp, CacheStrategy, StrategyContext, StrategyFactory, StrategyRegistry,
     StrategySpec,
 };
 use cablevod_hfc::ids::ProgramId;
-use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
-use cablevod_sim::{
-    run, run_parallel, run_sweep, AxisPoint, Scenario, SimConfig, Simulation, SourceSpec,
-};
-use cablevod_tests::tiny_config;
-use cablevod_trace::source::ChunkedTrace;
+use cablevod_hfc::units::SimTime;
+use cablevod_sim::ThreadPolicy::{Fixed, Serial};
+use cablevod_sim::{AxisPoint, CellResult, ResilienceOptions, Scenario, Simulation, SourceSpec};
+use cablevod_tests::{config_for, simulate, tiny_config};
 use cablevod_trace::synth::generate;
-
-/// The same strategy matrix as `tests/streaming.rs`: the paper's four
-/// plus Global LFU (the feed-consuming path).
-fn strategy(pick: usize) -> StrategySpec {
-    [
-        StrategySpec::NoCache,
-        StrategySpec::Lru,
-        StrategySpec::default_lfu(),
-        StrategySpec::default_oracle(),
-        StrategySpec::GlobalLfu {
-            history: SimDuration::from_days(3),
-            lag: SimDuration::from_minutes(30),
-        },
-    ][pick]
-}
-
-fn config_for(nbhd: u32, gb: u64, spec: StrategySpec) -> SimConfig {
-    SimConfig::paper_default()
-        .with_neighborhood_size(nbhd)
-        .with_per_peer_storage(DataSize::from_gigabytes(gb))
-        .with_warmup_days(1)
-        .with_strategy(spec)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// `Simulation` output is bit-identical to the legacy entry points on
-    /// every driver: serial/sharded × resident/streaming, all five
-    /// strategies.
-    #[test]
-    fn builder_is_bit_identical_to_legacy_entry_points(
-        users in 60u32..220,
-        nbhd in 25u32..120,
-        gb in 1u64..5,
-        strategy_pick in 0usize..5,
-        seed in 0u64..500,
-    ) {
-        let trace = generate(&tiny_config(users, 30, 3, seed));
-        let config = config_for(nbhd, gb, strategy(strategy_pick));
-
-        // Resident serial: legacy `run` vs builder.
-        let legacy = run(&trace, &config).expect("legacy run");
-        let built = Simulation::over(&trace)
-            .config(config.clone())
-            .run()
-            .expect("builder run");
-        prop_assert_eq!(&built.report, &legacy);
-
-        // Resident sharded: legacy `run_parallel` vs builder.
-        let legacy_parallel = run_parallel(&trace, &config, 3).expect("legacy run_parallel");
-        let built_parallel = Simulation::over(&trace)
-            .config(config.clone())
-            .threads(3)
-            .run()
-            .expect("builder parallel run");
-        prop_assert_eq!(&built_parallel.report, &legacy_parallel);
-        prop_assert_eq!(&built_parallel.report, &legacy);
-
-        // Streaming serial + sharded through the builder.
-        let chunked = ChunkedTrace::new(&trace, 64);
-        let streamed = Simulation::over(&chunked)
-            .config(config.clone())
-            .run()
-            .expect("builder streaming run");
-        prop_assert_eq!(&streamed.report, &legacy);
-        let streamed_parallel = Simulation::over(&chunked)
-            .config(config.clone())
-            .threads(2)
-            .run()
-            .expect("builder streaming parallel run");
-        prop_assert_eq!(&streamed_parallel.report, &legacy);
-    }
-
-    /// A `Scenario` point sweep equals the legacy `run_sweep` over the
-    /// same (label, config) jobs, job by job.
-    #[test]
-    fn scenario_sweep_equals_legacy_run_sweep(
-        users in 60u32..220,
-        nbhd in 25u32..120,
-        seed in 0u64..500,
-    ) {
-        let trace = generate(&tiny_config(users, 30, 3, seed));
-        let storages = [1u64, 2, 4];
-        let jobs: Vec<(u64, SimConfig)> = storages
-            .iter()
-            .map(|&gb| (gb, config_for(nbhd, gb, StrategySpec::default_lfu())))
-            .collect();
-        let legacy = run_sweep(&trace, &jobs);
-
-        let scenario = Scenario::provided(
-            "sweep",
-            config_for(nbhd, 1, StrategySpec::default_lfu()),
-        )
-        .with_points(
-            storages
-                .iter()
-                .map(|&gb| {
-                    AxisPoint::new(format!("{gb}")).with_patch(
-                        cablevod_sim::ConfigPatch::default()
-                            .with_per_peer_storage(DataSize::from_gigabytes(gb)),
-                    )
-                })
-                .collect(),
-        );
-        let outcomes = scenario.execute_on(&trace).expect("scenario runs");
-        prop_assert_eq!(outcomes.len(), legacy.len());
-        for ((label, legacy_report), outcome) in legacy.iter().zip(&outcomes) {
-            prop_assert_eq!(&outcome.point, &label.to_string());
-            prop_assert_eq!(
-                outcome.report(),
-                legacy_report.as_ref().expect("legacy job runs"),
-                "storage {} GB", label
-            );
-        }
-    }
-}
 
 /// A minimal out-of-tree strategy: admits programs first-come
 /// first-served while capacity remains and never evicts — a toy
@@ -202,48 +79,54 @@ impl StrategyFactory for StickyFactory {
     }
 }
 
-/// An out-of-tree strategy registered by name runs through every driver
-/// without any cache-crate enum change, and behaves deterministically.
+/// An out-of-tree strategy runs through every driver without any
+/// cache-crate enum change, behaves deterministically, and is nameable in
+/// a scenario through a custom registry.
 #[test]
 fn custom_strategy_registers_and_runs_everywhere() {
     let trace = generate(&tiny_config(200, 30, 3, 42));
     let config = config_for(60, 1, StrategySpec::NoCache);
 
-    let run_sticky = |threads: Option<usize>| {
-        let mut sim = Simulation::over(&trace)
+    let run_sticky = |threads| {
+        Simulation::over(&trace)
             .config(config.clone())
-            .register("prior-storing", Arc::new(StickyFactory))
-            .strategy_named("prior-storing");
-        if let Some(n) = threads {
-            sim = sim.threads(n);
-        }
-        sim.run().expect("custom strategy runs")
+            .strategy_factory(Arc::new(StickyFactory))
+            .thread_policy(threads)
+            .run()
+            .expect("custom strategy runs")
     };
 
-    let serial = run_sticky(None);
+    let serial = run_sticky(Serial);
     assert_eq!(serial.telemetry.strategy, "Sticky");
     assert!(serial.report.cache.hits > 0, "sticky cache produces hits");
 
     // Sharded runs agree bit-for-bit, like every built-in.
     for threads in [1, 2, 4] {
-        assert_eq!(run_sticky(Some(threads)).report, serial.report);
+        assert_eq!(run_sticky(Fixed(threads)).report, serial.report);
     }
 
     // Sticky beats nothing: fewer server bytes than the no-cache run.
-    let no_cache = run(&trace, &config).expect("no-cache runs");
+    let no_cache = simulate(&trace, &config, Serial);
     assert!(serial.report.server_total < no_cache.server_total);
 
-    // The same name drives a Scenario through a custom registry.
+    // The same strategy, registered by name, drives a Scenario.
     let mut registry = StrategyRegistry::builtin();
     registry.register("prior-storing", Arc::new(StickyFactory));
-    let outcomes = Scenario::provided("custom", config.clone())
-        .with_series(vec![
-            AxisPoint::new("Sticky").with_strategy_named("prior-storing")
-        ])
-        .execute_on_with(&trace, &registry)
-        .expect("scenario with custom strategy runs");
-    assert_eq!(outcomes.len(), 1);
-    assert_eq!(outcomes[0].report(), &serial.report);
+    let grid = Scenario::new(
+        "custom",
+        SourceSpec::Synth(tiny_config(200, 30, 3, 42)),
+        config.clone(),
+    )
+    .with_series(vec![
+        AxisPoint::new("Sticky").with_strategy_named("prior-storing")
+    ])
+    .execute_resilient(&registry, &ResilienceOptions::default(), &|_| {})
+    .expect("scenario with custom strategy runs");
+    assert_eq!(grid.cells.len(), 1);
+    match &grid.cells[0].result {
+        CellResult::Completed { outcome, .. } => assert_eq!(outcome.report, serial.report),
+        other => panic!("custom cell did not complete: {other:?}"),
+    }
 }
 
 /// Scenario specs survive a full save → load file round-trip, and the

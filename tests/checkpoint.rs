@@ -4,7 +4,6 @@
 //! panicking cell to itself, time out stragglers, retry flaky cells, and
 //! refuse a checkpoint written by a different scenario.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -17,29 +16,10 @@ use cablevod_sim::{
     AxisPoint, CellOutcome, CellResult, CheckpointJournal, ConfigPatch, JobRetry,
     ResilienceOptions, Scenario, SimConfig, SimReport, SourceSpec,
 };
-use cablevod_tests::tiny_config;
-
-static SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_journal(tag: &str) -> PathBuf {
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("ckpt_{tag}_{}_{n}.cvj", std::process::id()))
-}
-
-/// A journal dropped from disk when the guard goes out of scope.
-struct TempFile(PathBuf);
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.0).ok();
-    }
-}
+use cablevod_tests::{config_for, temp_path, tiny_config, TempFile};
 
 fn base_config() -> SimConfig {
-    SimConfig::paper_default()
-        .with_neighborhood_size(60)
-        .with_per_peer_storage(DataSize::from_gigabytes(1))
-        .with_warmup_days(1)
+    config_for(60, 1, StrategySpec::default_lfu())
 }
 
 /// A 2×2 grid over a small synthetic workload.
@@ -149,7 +129,7 @@ fn resilient_matches_plain_execute_and_journals_every_cell() {
     let scenario = grid_scenario("healthy");
     let plain = scenario.execute().expect("plain run");
 
-    let path = temp_journal("healthy");
+    let path = temp_path("healthy");
     let _guard = TempFile(path.clone());
     let options = ResilienceOptions {
         checkpoint: Some(path.clone()),
@@ -204,7 +184,7 @@ fn resume_replays_without_rerunning_jobs() {
             .with_patch(ConfigPatch::default().with_per_peer_storage(DataSize::from_gigabytes(2))),
     ]);
 
-    let path = temp_journal("replay");
+    let path = temp_path("replay");
     let _guard = TempFile(path.clone());
     let options = ResilienceOptions {
         checkpoint: Some(path.clone()),
@@ -338,7 +318,7 @@ fn failed_cells_recover_on_resume_after_fix() {
             .with_patch(ConfigPatch::default().with_per_peer_storage(DataSize::from_gigabytes(2))),
     ]);
 
-    let path = temp_journal("recover");
+    let path = temp_path("recover");
     let _guard = TempFile(path.clone());
     let options = ResilienceOptions {
         checkpoint: Some(path.clone()),
@@ -449,7 +429,7 @@ fn timeout_marks_straggler_failed() {
 /// A checkpoint written by a different scenario is refused on resume.
 #[test]
 fn foreign_checkpoint_is_refused() {
-    let path = temp_journal("foreign");
+    let path = temp_path("foreign");
     let _guard = TempFile(path.clone());
     let options = ResilienceOptions {
         checkpoint: Some(path.clone()),

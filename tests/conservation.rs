@@ -2,8 +2,9 @@
 
 use cablevod_cache::{FillPolicy, StrategySpec};
 use cablevod_hfc::units::{BitRate, DataSize};
-use cablevod_sim::{run, SimConfig};
-use cablevod_tests::medium_trace;
+use cablevod_sim::SimConfig;
+use cablevod_sim::ThreadPolicy::Serial;
+use cablevod_tests::{medium_trace, simulate};
 
 /// Total watched bytes in the trace at the stream rate — the offered load.
 fn offered_bits(trace: &cablevod_trace::record::Trace) -> u64 {
@@ -26,14 +27,18 @@ fn config() -> SimConfig {
 #[test]
 fn no_cache_server_carries_exactly_the_offered_load() {
     let trace = medium_trace();
-    let report = run(&trace, &config().with_strategy(StrategySpec::NoCache)).expect("runs");
+    let report = simulate(
+        &trace,
+        &config().with_strategy(StrategySpec::NoCache),
+        Serial,
+    );
     assert_eq!(report.server_total.as_bits(), offered_bits(&trace));
 }
 
 #[test]
 fn cached_run_splits_offered_load_between_server_and_peers() {
     let trace = medium_trace();
-    let report = run(&trace, &config()).expect("runs");
+    let report = simulate(&trace, &config(), Serial);
     // Server carries strictly less than offered; nothing is created.
     let offered = offered_bits(&trace);
     assert!(report.server_total.as_bits() < offered);
@@ -53,7 +58,7 @@ fn coax_carries_offered_load_regardless_of_strategy() {
         StrategySpec::default_lfu(),
         StrategySpec::Lru,
     ] {
-        let report = run(&trace, &config().with_strategy(strategy)).expect("runs");
+        let report = simulate(&trace, &config().with_strategy(strategy), Serial);
         let coax_total: u64 = report.segment_requests; // sanity anchor
         assert!(coax_total > 0);
         // Sum the coax meters: equal to offered bits for every strategy.
@@ -78,12 +83,16 @@ fn prefetch_and_broadcast_fill_conserve_identically() {
     // Fill policy changes WHO serves, never how much is watched.
     let trace = medium_trace();
     let offered = offered_bits(&trace);
-    let capture = run(
+    let capture = simulate(
         &trace,
         &config().with_fill_override(FillPolicy::OnBroadcast),
-    )
-    .expect("runs");
-    let push = run(&trace, &config().with_fill_override(FillPolicy::Prefetch)).expect("runs");
+        Serial,
+    );
+    let push = simulate(
+        &trace,
+        &config().with_fill_override(FillPolicy::Prefetch),
+        Serial,
+    );
     assert_eq!(capture.segment_requests, push.segment_requests);
     assert!(capture.server_total.as_bits() <= offered);
     assert!(
@@ -95,7 +104,7 @@ fn prefetch_and_broadcast_fill_conserve_identically() {
 #[test]
 fn stats_identities_hold() {
     let trace = medium_trace();
-    let report = run(&trace, &config()).expect("runs");
+    let report = simulate(&trace, &config(), Serial);
     let s = &report.cache;
     assert_eq!(
         s.requests(),

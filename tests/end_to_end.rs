@@ -59,8 +59,8 @@ fn trace_survives_csv_round_trip_and_simulates_identically() {
     let system = VodSystem::paper_default()
         .with_neighborhood_size(500)
         .with_warmup_days(4);
-    let original = system.simulate(&trace).expect("runs");
-    let roundtrip = system.simulate(&restored).expect("runs");
+    let original = system.evaluate(&trace).expect("runs").report;
+    let roundtrip = system.evaluate(&restored).expect("runs").report;
     assert_eq!(original.server_total, roundtrip.server_total);
     assert_eq!(original.cache, roundtrip.cache);
 }
@@ -94,7 +94,7 @@ fn viewer_overcommit_is_rare_but_counted() {
     let system = VodSystem::paper_default()
         .with_neighborhood_size(500)
         .with_warmup_days(4);
-    let report = system.simulate(&trace).expect("runs");
+    let report = system.evaluate(&trace).expect("runs").report;
     // Overcommit (a viewer exceeding 2 concurrent streams) happens but is
     // a tiny fraction of sessions for a realistic workload.
     assert!(

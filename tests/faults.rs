@@ -7,21 +7,20 @@
 
 use proptest::prelude::*;
 
+use cablevod_cache::StrategySpec;
 use cablevod_hfc::ids::NeighborhoodId;
-use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
+use cablevod_hfc::units::{SimDuration, SimTime};
+use cablevod_sim::ThreadPolicy::{Fixed, Serial};
 use cablevod_sim::{
-    run, run_parallel, AdmissionMode, FaultEvent, FaultKind, FaultPlan, RetryPolicy, Scenario,
-    SimConfig, Simulation, SourceSpec,
+    AdmissionMode, FaultEvent, FaultKind, FaultPlan, RetryPolicy, Scenario, SimConfig, Simulation,
+    SourceSpec,
 };
-use cablevod_tests::tiny_config;
+use cablevod_tests::{config_for, simulate, tiny_config};
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::generate;
 
 fn base_config() -> SimConfig {
-    SimConfig::paper_default()
-        .with_neighborhood_size(60)
-        .with_per_peer_storage(DataSize::from_gigabytes(2))
-        .with_warmup_days(1)
+    config_for(60, 2, StrategySpec::default_lfu())
 }
 
 proptest! {
@@ -48,10 +47,10 @@ proptest! {
             .with_admission(AdmissionMode::Enforcing)
             .with_retry(RetryPolicy::paper_default());
 
-        let serial = run(&trace, &config).expect("serial resident");
+        let serial = simulate(&trace, &config, Serial);
         prop_assert!(serial.degradation.is_some(), "fault plan must produce a section");
 
-        let sharded = run_parallel(&trace, &config, 3).expect("sharded resident");
+        let sharded = simulate(&trace, &config, Fixed(3));
         prop_assert_eq!(&sharded, &serial);
 
         let chunked = ChunkedTrace::new(&trace, 64);
@@ -78,7 +77,7 @@ proptest! {
         plan_seed in 0u64..200,
     ) {
         let trace = generate(&tiny_config(users, 30, 3, seed));
-        let healthy = run(&trace, &base_config()).expect("healthy run");
+        let healthy = simulate(&trace, &base_config(), Serial);
         prop_assert!(healthy.degradation.is_none(), "healthy default has no section");
 
         let neighborhoods = users.div_ceil(60);
@@ -89,7 +88,7 @@ proptest! {
             4,
             2,
         ));
-        let mut counted = run(&trace, &faulted_config).expect("counting run");
+        let mut counted = simulate(&trace, &faulted_config, Serial);
         prop_assert!(counted.degradation.is_some());
         counted.degradation = None;
         prop_assert_eq!(&counted, &healthy);
@@ -113,15 +112,15 @@ fn enforcing_outage_blocks_and_interrupts() {
     }])
     .expect("valid plan");
 
-    let healthy = run(&trace, &base_config()).expect("healthy run");
-    let enforcing = run(
+    let healthy = simulate(&trace, &base_config(), Serial);
+    let enforcing = simulate(
         &trace,
         &base_config()
             .with_faults(plan.clone())
             .with_admission(AdmissionMode::Enforcing),
-    )
-    .expect("enforcing run");
-    let counting = run(&trace, &base_config().with_faults(plan)).expect("counting run");
+        Serial,
+    );
+    let counting = simulate(&trace, &base_config().with_faults(plan), Serial);
 
     // Every trace record is still a session in both modes.
     assert_eq!(enforcing.sessions, healthy.sessions);
@@ -188,7 +187,7 @@ fn retry_exhaustion_counts_blocked_once_and_drains_the_heap() {
         .with_admission(AdmissionMode::Enforcing)
         .with_retry(retry);
 
-    let report = run(&trace, &config).expect("enforcing run");
+    let report = simulate(&trace, &config, Serial);
     let deg = report.degradation.as_ref().expect("degradation section");
     assert!(deg.blocked_sessions > 0, "day-long outage must block");
 
@@ -224,7 +223,7 @@ fn retry_exhaustion_counts_blocked_once_and_drains_the_heap() {
 
     // Heap hygiene is driver-independent: sharded and streaming drivers
     // drain the same retry heap to the same report, bit for bit.
-    let sharded = run_parallel(&trace, &config, 3).expect("sharded run");
+    let sharded = simulate(&trace, &config, Fixed(3));
     assert_eq!(sharded, report);
 }
 
@@ -249,7 +248,7 @@ fn outage_past_trace_end_still_drains_pending_retries() {
         .with_admission(AdmissionMode::Enforcing)
         .with_retry(retry);
 
-    let report = run(&trace, &config).expect("run terminates");
+    let report = simulate(&trace, &config, Serial);
     let deg = report.degradation.as_ref().expect("degradation section");
     // Every affected start is blocked: the outage never lifts within the
     // trace, so no retry can ever succeed in neighborhood 0.
@@ -273,7 +272,7 @@ fn outage_past_trace_end_still_drains_pending_retries() {
         deg.blocked_sessions * u64::from(retry.max_retries()) + admitted_retries,
         "pending sentinels past the horizon still resolve exactly once"
     );
-    let sharded = run_parallel(&trace, &config, 3).expect("sharded run");
+    let sharded = simulate(&trace, &config, Fixed(3));
     assert_eq!(sharded, report);
 }
 
@@ -282,7 +281,7 @@ fn outage_past_trace_end_still_drains_pending_retries() {
 #[test]
 fn empty_plan_counting_has_no_section() {
     let trace = generate(&tiny_config(120, 20, 3, 5));
-    let report = run(&trace, &base_config()).expect("default run");
+    let report = simulate(&trace, &base_config(), Serial);
     assert!(report.degradation.is_none());
 }
 

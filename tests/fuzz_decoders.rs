@@ -5,33 +5,15 @@
 //! to the uncorrupted original — never panic, never return silently
 //! wrong records.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use proptest::prelude::*;
+
+use cablevod_tests::{temp_path, TempFile};
 
 use cablevod_hfc::ids::ProgramId;
 use cablevod_hfc::units::SimTime;
 use cablevod_trace::columnar::{write_trace, ColumnarReader};
 use cablevod_trace::schedule::{ScheduleSidecarReader, ScheduleSidecarWriter};
 use cablevod_trace::synth::{generate, SynthConfig};
-
-static SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_path(tag: &str) -> PathBuf {
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("fuzz_{tag}_{}_{n}.bin", std::process::id()))
-}
-
-/// A file dropped from disk when the guard goes out of scope, so failed
-/// proptest cases do not litter the temp dir.
-struct TempFile(PathBuf);
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.0).ok();
-    }
-}
 
 /// The three corruption families the corpus sweeps — truncation, a
 /// single flipped bit, and an 8-byte "lie" (how a corrupt length,

@@ -5,10 +5,9 @@
 //! fail cleanly — never panic, and **never** return a cell that differs
 //! from what was journaled.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use proptest::prelude::*;
+
+use cablevod_tests::{temp_path, TempFile};
 
 use cablevod_cache::IndexStats;
 use cablevod_hfc::meter::RateStats;
@@ -17,22 +16,6 @@ use cablevod_sim::{
     CellKey, CellRecord, CheckpointJournal, DegradationReport, JournalHeader,
     NeighborhoodDegradation, SimReport,
 };
-
-static SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_path(tag: &str) -> PathBuf {
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("fuzzj_{tag}_{}_{n}.cvj", std::process::id()))
-}
-
-/// A file dropped from disk when the guard goes out of scope.
-struct TempFile(PathBuf);
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.0).ok();
-    }
-}
 
 /// A fully-populated synthetic report — every field nonzero-ish and
 /// salt-dependent, so corruption anywhere in a record is visible.

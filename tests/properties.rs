@@ -5,8 +5,9 @@ use proptest::prelude::*;
 
 use cablevod_cache::StrategySpec;
 use cablevod_hfc::units::DataSize;
-use cablevod_sim::{run, run_parallel, SimConfig};
-use cablevod_tests::tiny_config;
+use cablevod_sim::SimConfig;
+use cablevod_sim::ThreadPolicy::{Fixed, Serial};
+use cablevod_tests::{simulate, tiny_config};
 use cablevod_trace::scale;
 use cablevod_trace::synth::generate;
 
@@ -100,7 +101,7 @@ proptest! {
             .with_per_peer_storage(DataSize::from_gigabytes(gb))
             .with_warmup_days(1)
             .with_strategy(strategy);
-        let report = run(&trace, &config).expect("engine runs");
+        let report = simulate(&trace, &config, Serial);
 
         // Offered load bounds the server load.
         let offered: u64 = trace
@@ -146,11 +147,11 @@ proptest! {
             .with_per_peer_storage(DataSize::from_gigabytes(gb))
             .with_warmup_days(1)
             .with_strategy(strategy);
-        let serial = run(&trace, &config).expect("serial engine runs");
+        let serial = simulate(&trace, &config, Serial);
         let neighborhoods = users.div_ceil(nbhd) as usize;
         for threads in [1, 2, neighborhoods] {
             let parallel =
-                run_parallel(&trace, &config, threads).expect("parallel engine runs");
+                simulate(&trace, &config, Fixed(threads));
             prop_assert_eq!(&parallel, &serial, "threads = {}", threads);
         }
     }

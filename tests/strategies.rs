@@ -2,8 +2,9 @@
 
 use cablevod_cache::{FillPolicy, StrategySpec};
 use cablevod_hfc::units::{DataSize, SimDuration};
-use cablevod_sim::{baseline, run, SimConfig};
-use cablevod_tests::medium_trace;
+use cablevod_sim::ThreadPolicy::Serial;
+use cablevod_sim::{baseline, SimConfig};
+use cablevod_tests::{medium_trace, simulate};
 
 fn config(gb: u64) -> SimConfig {
     SimConfig::paper_default()
@@ -21,11 +22,11 @@ fn oracle_dominates_the_frequency_strategies() {
     // (LRU) optimizes a different objective and can win at tiny caches
     // under free push-fill, so it is compared separately below.
     let trace = medium_trace();
-    let oracle = run(
+    let oracle = simulate(
         &trace,
         &config(2).with_strategy(StrategySpec::default_oracle()),
-    )
-    .expect("runs");
+        Serial,
+    );
     for strategy in [
         StrategySpec::default_lfu(),
         StrategySpec::GlobalLfu {
@@ -33,7 +34,7 @@ fn oracle_dominates_the_frequency_strategies() {
             lag: SimDuration::ZERO,
         },
     ] {
-        let report = run(&trace, &config(2).with_strategy(strategy)).expect("runs");
+        let report = simulate(&trace, &config(2).with_strategy(strategy), Serial);
         assert!(
             oracle.server_total.as_bits() as f64 <= report.server_total.as_bits() as f64 * 1.02,
             "oracle {} must not lose to {:?} {}",
@@ -49,7 +50,7 @@ fn bigger_cache_never_hurts_much() {
     let trace = medium_trace();
     let mut previous: Option<u64> = None;
     for gb in [1u64, 2, 4, 8] {
-        let report = run(&trace, &config(gb)).expect("runs");
+        let report = simulate(&trace, &config(gb), Serial);
         if let Some(prev) = previous {
             assert!(
                 report.server_total.as_bits() <= prev + prev / 20,
@@ -74,8 +75,8 @@ fn lfu_beats_lru_under_deployable_fill() {
             .with_strategy(strategy)
             .with_fill_override(cablevod_cache::FillPolicy::OnBroadcast)
     };
-    let lfu = run(&trace, &capture(StrategySpec::default_lfu())).expect("runs");
-    let lru = run(&trace, &capture(StrategySpec::Lru)).expect("runs");
+    let lfu = simulate(&trace, &capture(StrategySpec::default_lfu()), Serial);
+    let lru = simulate(&trace, &capture(StrategySpec::Lru), Serial);
     assert!(
         lfu.server_total.as_bits() as f64 <= lru.server_total.as_bits() as f64 * 1.05,
         "lfu {} vs lru {}",
@@ -88,19 +89,19 @@ fn lfu_beats_lru_under_deployable_fill() {
 fn global_feed_does_not_hurt() {
     let trace = medium_trace();
     let history = SimDuration::from_days(7);
-    let local = run(
+    let local = simulate(
         &trace,
         &config(1).with_strategy(StrategySpec::Lfu { history }),
-    )
-    .expect("runs");
-    let global = run(
+        Serial,
+    );
+    let global = simulate(
         &trace,
         &config(1).with_strategy(StrategySpec::GlobalLfu {
             history,
             lag: SimDuration::ZERO,
         }),
-    )
-    .expect("runs");
+        Serial,
+    );
     assert!(
         global.server_total.as_bits() as f64 <= local.server_total.as_bits() as f64 * 1.1,
         "global {} vs local {}",
@@ -112,7 +113,7 @@ fn global_feed_does_not_hurt() {
 #[test]
 fn savings_match_the_baseline_identity() {
     let trace = medium_trace();
-    let report = run(&trace, &config(4)).expect("runs");
+    let report = simulate(&trace, &config(4), Serial);
     let no_cache = baseline::no_cache_peak(
         &trace,
         cablevod_hfc::units::BitRate::STREAM_MPEG2_SD,
@@ -131,7 +132,7 @@ fn more_stream_slots_monotonically_help() {
     let trace = medium_trace();
     let mut previous: Option<u64> = None;
     for slots in [1u8, 2, 4] {
-        let report = run(&trace, &config(4).with_stream_slots(slots)).expect("runs");
+        let report = simulate(&trace, &config(4).with_stream_slots(slots), Serial);
         if let Some(prev) = previous {
             assert!(
                 report.server_total.as_bits() <= prev,

@@ -11,9 +11,10 @@ use proptest::prelude::*;
 
 use cablevod_cache::StrategySpec;
 use cablevod_hfc::ids::{ProgramId, UserId};
-use cablevod_hfc::units::{DataSize, SimDuration, SimTime};
-use cablevod_sim::{run, run_parallel, SimConfig, Simulation};
-use cablevod_tests::tiny_config;
+use cablevod_hfc::units::{SimDuration, SimTime};
+use cablevod_sim::Simulation;
+use cablevod_sim::ThreadPolicy::{Fixed, Serial};
+use cablevod_tests::{config_for, simulate, tiny_config};
 use cablevod_trace::catalog::{ProgramCatalog, ProgramInfo};
 use cablevod_trace::columnar::{write_trace, ColumnarReader};
 use cablevod_trace::rechunk::{rechunk_by_neighborhood, rechunk_multi_index};
@@ -50,14 +51,6 @@ fn strategy(pick: usize) -> StrategySpec {
     ][pick]
 }
 
-fn config_for(nbhd: u32, gb: u64, spec: StrategySpec) -> SimConfig {
-    SimConfig::paper_default()
-        .with_neighborhood_size(nbhd)
-        .with_per_peer_storage(DataSize::from_gigabytes(gb))
-        .with_warmup_days(1)
-        .with_strategy(spec)
-}
-
 /// Chunk sizes the issue calls out: one record per chunk (maximal chunk
 /// churn), a small batch, and the whole trace in one chunk (streaming
 /// machinery with resident-like staging).
@@ -80,10 +73,10 @@ proptest! {
     ) {
         let trace = generate(&tiny_config(users, 30, 3, seed));
         let config = config_for(nbhd, gb, strategy(strategy_pick));
-        let resident = run(&trace, &config).expect("resident engine runs");
+        let resident = simulate(&trace, &config, Serial);
         for chunk in chunk_sizes(trace.len()) {
             let streamed =
-                run(&ChunkedTrace::new(&trace, chunk), &config).expect("streaming engine runs");
+                simulate(&ChunkedTrace::new(&trace, chunk), &config, Serial);
             prop_assert_eq!(&streamed, &resident, "chunk size {}", chunk);
         }
     }
@@ -103,15 +96,15 @@ proptest! {
     ) {
         let trace = generate(&tiny_config(users, 30, 3, seed));
         let config = config_for(nbhd, gb, StrategySpec::default_oracle());
-        let resident = run(&trace, &config).expect("resident oracle runs");
+        let resident = simulate(&trace, &config, Serial);
         let neighborhoods = users.div_ceil(nbhd) as usize;
         for chunk in chunk_sizes(trace.len()) {
             let source = ChunkedTrace::new(&trace, chunk);
-            let streamed = run(&source, &config).expect("windowed serial oracle runs");
+            let streamed = simulate(&source, &config, Serial);
             prop_assert_eq!(&streamed, &resident, "serial, chunk {}", chunk);
             for threads in [1, 2, neighborhoods] {
                 let sharded =
-                    run_parallel(&source, &config, threads).expect("windowed sharded oracle runs");
+                    simulate(&source, &config, Fixed(threads));
                 prop_assert_eq!(&sharded, &resident, "chunk {}, threads {}", chunk, threads);
             }
         }
@@ -130,13 +123,13 @@ proptest! {
     ) {
         let trace = generate(&tiny_config(users, 30, 3, seed));
         let config = config_for(nbhd, gb, strategy(strategy_pick));
-        let serial = run(&trace, &config).expect("serial engine runs");
+        let serial = simulate(&trace, &config, Serial);
         let neighborhoods = users.div_ceil(nbhd) as usize;
         for chunk in chunk_sizes(trace.len()) {
             let source = ChunkedTrace::new(&trace, chunk);
             for threads in [1, 2, neighborhoods] {
                 let sharded =
-                    run_parallel(&source, &config, threads).expect("sharded engine runs");
+                    simulate(&source, &config, Fixed(threads));
                 prop_assert_eq!(&sharded, &serial, "chunk {}, threads {}", chunk, threads);
             }
         }
@@ -156,10 +149,10 @@ fn columnar_file_replay_is_bit_identical() {
 
     for pick in 0..9 {
         let config = config_for(60, 2, strategy(pick));
-        let resident = run(&trace, &config).expect("resident runs");
-        let from_disk = run(&reader, &config).expect("disk replay runs");
+        let resident = simulate(&trace, &config, Serial);
+        let from_disk = simulate(&reader, &config, Serial);
         assert_eq!(from_disk, resident, "serial, strategy {pick}");
-        let sharded = run_parallel(&reader, &config, 3).expect("sharded disk replay runs");
+        let sharded = simulate(&reader, &config, Fixed(3));
         assert_eq!(sharded, resident, "sharded, strategy {pick}");
     }
     std::fs::remove_file(&path).ok();
@@ -189,11 +182,11 @@ fn neighborhood_major_replay_is_bit_identical() {
     for pick in 0..9 {
         // Matched neighborhood size: shards read their own chunks only.
         let config = config_for(60, 2, strategy(pick));
-        let resident = run(&trace, &config).expect("resident runs");
-        let serial = run(&reader, &config).expect("serial merge replay runs");
+        let resident = simulate(&trace, &config, Serial);
+        let serial = simulate(&reader, &config, Serial);
         assert_eq!(serial, resident, "serial merge, strategy {pick}");
         for threads in [1usize, 3] {
-            let sharded = run_parallel(&reader, &config, threads).expect("matched sharded runs");
+            let sharded = simulate(&reader, &config, Fixed(threads));
             assert_eq!(sharded, resident, "matched sharded, strategy {pick}");
         }
 
@@ -201,10 +194,10 @@ fn neighborhood_major_replay_is_bit_identical() {
         // the simulation's shuffle, so the engine falls back to pruned
         // per-group merges — results must not change.
         let config = config_for(45, 2, strategy(pick));
-        let resident = run(&trace, &config).expect("resident runs");
-        let serial = run(&reader, &config).expect("mismatched serial runs");
+        let resident = simulate(&trace, &config, Serial);
+        let serial = simulate(&reader, &config, Serial);
         assert_eq!(serial, resident, "mismatched serial, strategy {pick}");
-        let sharded = run_parallel(&reader, &config, 2).expect("mismatched sharded runs");
+        let sharded = simulate(&reader, &config, Fixed(2));
         assert_eq!(sharded, resident, "mismatched sharded, strategy {pick}");
     }
     std::fs::remove_file(&tm).ok();
@@ -233,7 +226,7 @@ fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     let config = config_for(50, 2, StrategySpec::default_lfu());
 
     let before = nm_reader.decode_stats();
-    let nm_report = run_parallel(&nm_reader, &config, 4).expect("matched sharded runs");
+    let nm_report = simulate(&nm_reader, &config, Fixed(4));
     let nm_decodes = nm_reader.decode_stats() - before;
     assert_eq!(
         nm_decodes.chunks,
@@ -243,7 +236,7 @@ fn neighborhood_major_sharded_run_decodes_each_chunk_once() {
     assert!(nm_decodes.bytes > 0, "decode bytes are tracked");
 
     let before = tm_reader.decode_stats();
-    let tm_report = run_parallel(&tm_reader, &config, 4).expect("time-major sharded runs");
+    let tm_report = simulate(&tm_reader, &config, Fixed(4));
     let tm_decodes = tm_reader.decode_stats() - before;
     assert_eq!(tm_report, nm_report, "layouts agree bit-for-bit");
     assert!(
@@ -276,11 +269,11 @@ fn oracle_streaming_decode_counts_include_the_schedule_pre_pass() {
     let nm_reader = ColumnarReader::open(&nm).expect("open neighborhood-major");
 
     let config = config_for(50, 2, StrategySpec::default_oracle());
-    let resident = run(&trace, &config).expect("resident oracle runs");
+    let resident = simulate(&trace, &config, Serial);
 
     // Serial time-major: one pre-pass scan + one replay scan.
     let before = tm_reader.decode_stats();
-    let report = run(&tm_reader, &config).expect("serial oracle replay");
+    let report = simulate(&tm_reader, &config, Serial);
     assert_eq!(report, resident);
     let delta = tm_reader.decode_stats() - before;
     assert_eq!(
@@ -293,7 +286,7 @@ fn oracle_streaming_decode_counts_include_the_schedule_pre_pass() {
     // (each chunk once) and the replay hands each shard its own chunks
     // (each chunk once) — 2x the file, same as serial.
     let before = nm_reader.decode_stats();
-    let report = run_parallel(&nm_reader, &config, 3).expect("matched sharded oracle replay");
+    let report = simulate(&nm_reader, &config, Fixed(3));
     assert_eq!(report, resident);
     let delta = nm_reader.decode_stats() - before;
     assert_eq!(
@@ -332,29 +325,29 @@ fn multi_index_sweep_fast_path_is_bit_identical() {
     for &(size, threads) in &[(60u32, 3usize), (100, 2)] {
         for pick in 0..5 {
             let config = config_for(size, 2, strategy(pick));
-            let resident = run(&trace, &config).expect("resident runs");
+            let resident = simulate(&trace, &config, Serial);
             assert_eq!(
-                run_parallel(&trace, &config, threads).expect("resident sharded runs"),
+                simulate(&trace, &config, Fixed(threads)),
                 resident,
                 "resident sharded, size {size}, strategy {pick}"
             );
             assert_eq!(
-                run(&nm_reader, &config).expect("merge-path serial runs"),
+                simulate(&nm_reader, &config, Serial),
                 resident,
                 "merge serial, size {size}, strategy {pick}"
             );
             assert_eq!(
-                run_parallel(&nm_reader, &config, threads).expect("merge-path sharded runs"),
+                simulate(&nm_reader, &config, Fixed(threads)),
                 resident,
                 "merge sharded, size {size}, strategy {pick}"
             );
             assert_eq!(
-                run(&multi_reader, &config).expect("fast-path serial runs"),
+                simulate(&multi_reader, &config, Serial),
                 resident,
                 "fast serial, size {size}, strategy {pick}"
             );
             assert_eq!(
-                run_parallel(&multi_reader, &config, threads).expect("fast-path sharded runs"),
+                simulate(&multi_reader, &config, Fixed(threads)),
                 resident,
                 "fast sharded, size {size}, strategy {pick}"
             );
@@ -411,13 +404,12 @@ fn rec(user: u32, program: u32, start: u64, dur: u64) -> SessionRecord {
 fn empty_trace_streams_to_an_empty_report() {
     let trace = Trace::new(Vec::new(), hour_catalog(4), 50, 2).expect("empty trace is valid");
     let config = config_for(25, 1, StrategySpec::default_lfu());
-    let resident = run(&trace, &config).expect("resident empty run");
+    let resident = simulate(&trace, &config, Serial);
     assert_eq!(resident.sessions, 0);
     assert_eq!(resident.segment_requests, 0);
-    let streamed = run(&ChunkedTrace::new(&trace, 8), &config).expect("streaming empty run");
+    let streamed = simulate(&ChunkedTrace::new(&trace, 8), &config, Serial);
     assert_eq!(streamed, resident);
-    let sharded =
-        run_parallel(&ChunkedTrace::new(&trace, 8), &config, 2).expect("sharded empty run");
+    let sharded = simulate(&ChunkedTrace::new(&trace, 8), &config, Fixed(2));
     assert_eq!(sharded, resident);
 }
 
@@ -437,15 +429,15 @@ fn sessions_straddling_chunk_boundaries_replay_exactly() {
     ];
     let trace = Trace::new(records, hour_catalog(4), 5, 1).expect("valid trace");
     let config = config_for(3, 1, StrategySpec::default_lfu()).with_warmup_days(0);
-    let resident = run(&trace, &config).expect("resident runs");
+    let resident = simulate(&trace, &config, Serial);
     assert_eq!(resident.sessions, 5);
 
     // One record per chunk: every session with >1 segment straddles.
     let single = ChunkedTrace::new(&trace, 1);
     assert_eq!(single.chunk_count(), 5);
-    let streamed = run(&single, &config).expect("single-record chunks run");
+    let streamed = simulate(&single, &config, Serial);
     assert_eq!(streamed, resident);
-    let sharded = run_parallel(&single, &config, 2).expect("sharded single-record chunks run");
+    let sharded = simulate(&single, &config, Fixed(2));
     assert_eq!(sharded, resident);
 
     // Same from disk, chunk size 1.
@@ -454,10 +446,7 @@ fn sessions_straddling_chunk_boundaries_replay_exactly() {
     write_trace(&path, &trace, 1).expect("write single-record chunks");
     let reader = ColumnarReader::open(&path).expect("open");
     assert_eq!(reader.chunk_count(), 5);
-    assert_eq!(run(&reader, &config).expect("disk replay"), resident);
-    assert_eq!(
-        run_parallel(&reader, &config, 2).expect("sharded disk replay"),
-        resident
-    );
+    assert_eq!(simulate(&reader, &config, Serial), resident);
+    assert_eq!(simulate(&reader, &config, Fixed(2)), resident);
     std::fs::remove_file(&path).ok();
 }

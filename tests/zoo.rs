@@ -14,9 +14,10 @@ use proptest::prelude::*;
 
 use cablevod_cache::strategy::{StrategyContext, StrategyFactory};
 use cablevod_cache::{CacheError, CacheStrategy, FetchModel, StrategySpec};
-use cablevod_hfc::units::{DataSize, SimDuration};
-use cablevod_sim::{run, run_parallel, Scenario, SimConfig, Simulation};
-use cablevod_tests::tiny_config;
+use cablevod_hfc::units::SimDuration;
+use cablevod_sim::ThreadPolicy::{Fixed, Serial};
+use cablevod_sim::{Scenario, SimConfig, Simulation};
+use cablevod_tests::{config_for, simulate, tiny_config};
 use cablevod_trace::record::Trace;
 use cablevod_trace::source::ChunkedTrace;
 use cablevod_trace::synth::generate;
@@ -55,14 +56,6 @@ fn legacy(pick: usize) -> StrategySpec {
     ][pick]
 }
 
-fn config_for(nbhd: u32, gb: u64, spec: StrategySpec) -> SimConfig {
-    SimConfig::paper_default()
-        .with_neighborhood_size(nbhd)
-        .with_per_peer_storage(DataSize::from_gigabytes(gb))
-        .with_warmup_days(1)
-        .with_strategy(spec)
-}
-
 /// Every new strategy produces one report, whichever of the four drivers
 /// (and worker counts) computes it: resident serial is the reference,
 /// resident sharded, streaming serial and streaming sharded must match
@@ -72,9 +65,9 @@ fn new_strategies_are_bit_identical_on_all_four_drivers() {
     let trace: Trace = generate(&tiny_config(300, 40, 4, 29));
     for spec in new_specs() {
         let config = config_for(60, 2, spec);
-        let resident = run(&trace, &config).expect("resident serial runs");
+        let resident = simulate(&trace, &config, Serial);
         for threads in [1, 2, 5] {
-            let sharded = run_parallel(&trace, &config, threads).expect("resident sharded runs");
+            let sharded = simulate(&trace, &config, Fixed(threads));
             assert_eq!(
                 sharded, resident,
                 "resident sharded, {spec:?}, {threads} threads"
@@ -82,14 +75,13 @@ fn new_strategies_are_bit_identical_on_all_four_drivers() {
         }
         for chunk in [1usize, 64, trace.len()] {
             let source = ChunkedTrace::new(&trace, chunk);
-            let streamed = run(&source, &config).expect("streaming serial runs");
+            let streamed = simulate(&source, &config, Serial);
             assert_eq!(
                 streamed, resident,
                 "streaming serial, {spec:?}, chunk {chunk}"
             );
             for threads in [1, 2, 5] {
-                let sharded =
-                    run_parallel(&source, &config, threads).expect("streaming sharded runs");
+                let sharded = simulate(&source, &config, Fixed(threads));
                 assert_eq!(
                     sharded, resident,
                     "streaming sharded, {spec:?}, chunk {chunk}, {threads} threads"
@@ -175,7 +167,7 @@ proptest! {
         let trace = generate(&tiny_config(users, 30, 3, seed));
         let spec = legacy(pick);
         let config = config_for(60, gb, spec);
-        let baseline = run(&trace, &config).expect("seed run");
+        let baseline = simulate(&trace, &config, Serial);
         prop_assert_eq!(baseline.cache.delayed_hits, 0);
         prop_assert_eq!(baseline.cache.inflight_misses, 0);
 
